@@ -79,8 +79,12 @@ checker::Diagnostic latent_diag(const InterpResult& in,
               " events:";
   for (const auto& cyc : ld.analysis.cycles) {
     d.message += " wait-for cycle";
-    for (const int r : cyc.ranks) d.message += " " + std::to_string(r) + " ->";
-    d.message += " " + std::to_string(cyc.ranks.empty() ? -1 : cyc.ranks[0]);
+    for (const int r : cyc.ranks) {
+      d.message += ' ';
+      d.message.append(std::to_string(r)).append(" ->");
+    }
+    d.message += ' ';
+    d.message.append(std::to_string(cyc.ranks.empty() ? -1 : cyc.ranks[0]));
     d.message += ";";
   }
   for (const auto& [waiter, peer] : ld.analysis.orphans) {

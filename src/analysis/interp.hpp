@@ -1,28 +1,22 @@
 // Recorded-frame interpretation of a .mpst trace for offline analysis.
 //
-// Re-derives, without re-execution, everything the happens-before passes
-// need from the recorded event skeleton:
+// The interpreter is the recorded-frame observer of the one event walker
+// (trace/walk.hpp) that also drives trace::replay, so its virtual times
+// are trace::replay's recorded frame bit for bit (the critical path's
+// total equals the replay makespan exactly). From the walk it keeps:
 //
-//   * per-event virtual completion times under the *recorded* machine
-//     model, bit-identical to trace::replay's recorded frame (the critical
-//     path's total time must equal the replay makespan exactly);
-//   * the binding predecessor of every event — the (rank, event) whose
-//     completion the event's time actually derives from when a cross-rank
-//     term wins the max (message delivery, rendezvous sync, comm-sync
-//     barrier). Walking binding predecessors backwards from the last rank
-//     to finish yields the critical path;
-//   * per-rank vector clocks (Lamport/Mattern) capturing the happens-before
-//     partial order: program order, send -> receive completion, rendezvous
-//     receive-post -> send-wait, probed send -> probe, and comm-sync
-//     barrier joins. Collectives are already lowered to internal p2p in the
-//     trace, so no extra edges are needed;
+//   * per-event completion times and binding predecessors: the (rank,
+//     event) whose completion an event's time derives from when a
+//     cross-rank term won the max. Walking them backwards from the last
+//     rank to finish yields the critical path;
+//   * per-rank vector clocks (Lamport/Mattern) for the happens-before
+//     order: program order, send -> receive completion, rendezvous
+//     receive-post -> send-wait, probed send -> probe, and comm-sync and
+//     nonblocking-collective joins. Only materialized when the trace has
+//     wildcard receives (the only consumers);
 //   * the channel database: every send keyed by (comm, src, dst, seq) with
 //     its recorded matching receive, and every receive with its *posted*
 //     envelope (v3 traces) — the raw material of ISP/MUST-style match sets.
-//
-// Vector clocks are only materialized when the trace contains wildcard
-// receives (the only consumers); deterministic traces skip the O(ranks)
-// per-event cost entirely.
 #pragma once
 
 #include <cstdint>

@@ -95,7 +95,8 @@ std::string render_summary(const std::vector<Diagnostic>& diags,
     if (per_cat[static_cast<std::size_t>(c)] == 0) continue;
     out += " ";
     out += category_name(static_cast<Category>(c));
-    out += "=" + std::to_string(per_cat[static_cast<std::size_t>(c)]);
+    out += '=';
+    out.append(std::to_string(per_cat[static_cast<std::size_t>(c)]));
   }
   return out;
 }

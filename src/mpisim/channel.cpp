@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "mpisim/cost_rules.hpp"
 #include "mpisim/error.hpp"
 #include "support/spec.hpp"
 
@@ -125,13 +126,9 @@ bool Channel::compatible(const PostedRecv& r, const Message& m) noexcept {
 
 void Channel::complete_match(const MessagePtr& msg,
                              const PostedRecvPtr& recv) const {
-  double t_deliver = 0.0;
-  if (msg->rendezvous) {
-    t_deliver = std::max(msg->t_send_start, recv->t_post) + msg->wire_cost +
-                rendezvous_extra_;
-  } else {
-    t_deliver = std::max(recv->t_post, msg->t_avail);
-  }
+  const double t_deliver =
+      delivery_time(msg->rendezvous, msg->t_send_start, msg->wire_cost,
+                    msg->t_avail, recv->t_post, rendezvous_extra_);
 
   recv->truncated = msg->bytes > recv->max_bytes;
   if (recv->buf != nullptr && !msg->payload.empty()) {
@@ -461,15 +458,14 @@ Status Channel::probe(int src, int tag, double t_probe) {
       st.bytes = found->bytes;
       st.seq = found->seq;
       // Completion time of a hypothetical receive posted at t_probe —
-      // the same delivery model complete_match applies. In particular a
+      // the same delivery rule complete_match applies. In particular a
       // rendezvous message still pays its wire cost; reporting
       // max(t_send_start, t_probe) alone would claim availability earlier
       // than any matching recv could ever complete.
       st.t_complete =
-          found->rendezvous
-              ? std::max(found->t_send_start, t_probe) + found->wire_cost +
-                    rendezvous_extra_
-              : std::max(t_probe, found->t_avail);
+          delivery_time(found->rendezvous, found->t_send_start,
+                        found->wire_cost, found->t_avail, t_probe,
+                        rendezvous_extra_);
       return st;
     }
     check_abort();

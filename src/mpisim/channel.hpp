@@ -24,9 +24,11 @@
 //
 // Matching is where virtual time crosses rank boundaries:
 //   eager:       t_deliver = max(t_post, t_avail)
-//   rendezvous:  t_deliver = max(t_send_start, t_post) + wire_cost
+//   rendezvous:  t_deliver = max(t_send_start, t_post) + wire_cost + extra
 // Probe reports the completion time of a hypothetical receive posted at
 // t_probe, so it follows the same two formulas with t_post := t_probe.
+// Both are mpisim::delivery_time (cost_rules.hpp), the rule the trace
+// walker applies too.
 // The second party to arrive performs the match under the channel mutex and
 // wakes any rank blocked on it through a WaitPoint — the executor parks the
 // rank until delivery, with no polling; World::abort() wakes all waiters so
@@ -145,8 +147,7 @@ class Channel {
   /// Blocking probe: wait until a message matching (src, tag) is queued and
   /// return its envelope without consuming it. t_probe is the prober's
   /// current virtual time; t_complete is when a receive posted at t_probe
-  /// would deliver (eager: max(t_probe, t_avail); rendezvous:
-  /// max(t_send_start, t_probe) + wire_cost).
+  /// would deliver (delivery_time with t_post := t_probe).
   Status probe(int src, int tag, double t_probe);
 
   /// Number of queued (unmatched) messages — diagnostic for tests.

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <map>
 
+#include "mpisim/cost_rules.hpp"
 #include "mpisim/error.hpp"
 #include "mpisim/faults/engine.hpp"
 #include "mpisim/runtime.hpp"
@@ -1197,11 +1198,11 @@ Comm Comm::split(int color, int key) {
 
   // Model the synchronizing cost: everyone leaves after the last entrant
   // plus a logarithmic metadata exchange.
-  const double lat = ctx_->machine().net.inter_node.latency;
   const double t_before = ctx_->now();
   double rounds = 1.0;
   for (int k = 1; k < size(); k <<= 1) rounds += 1.0;
-  ctx_->clock().sync_to(std::max(t_entry_max, t_publish_max) + rounds * lat);
+  ctx_->clock().sync_to(sync_leave_time(std::max(t_entry_max, t_publish_max),
+                                        rounds, ctx_->machine().net));
   if (auto& tap = ctx_->world().trace_tap().on_comm_sync) {
     tap(*ctx_, TapCommSync{impl_->context_id(), gen, size(),
                            static_cast<int>(rounds), t_before});
@@ -1243,9 +1244,9 @@ Comm Comm::dup() {
   }
   auto [published, t_publish_max] =
       impl_->publish_sync().exchange(gen, rank_, ctx_->now(), impls);
-  const double lat = ctx_->machine().net.inter_node.latency;
   const double t_before = ctx_->now();
-  ctx_->clock().sync_to(std::max(t_entry_max, t_publish_max) + lat);
+  ctx_->clock().sync_to(sync_leave_time(std::max(t_entry_max, t_publish_max),
+                                        1.0, ctx_->machine().net));
   if (auto& tap = ctx_->world().trace_tap().on_comm_sync) {
     tap(*ctx_, TapCommSync{impl_->context_id(), gen, size(), 1, t_before});
   }

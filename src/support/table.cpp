@@ -57,8 +57,9 @@ std::string TextTable::render() const {
     for (std::size_t c = 0; c < row.size(); ++c) {
       const auto& cell = row[c];
       const bool left = c < align_.size() && align_[c] == Align::Left;
-      s += " " + (left ? pad_right(cell, width[c]) : pad_left(cell, width[c])) +
-           " |";
+      s += ' ';
+      s.append(left ? pad_right(cell, width[c]) : pad_left(cell, width[c]));
+      s.append(" |");
     }
     s += "\n";
     return s;

@@ -1,21 +1,17 @@
 // Virtual-time what-if replay of a recorded trace.
 //
 // The replayer re-executes the recorded communication skeleton without the
-// application: compute gaps are re-charged from the recorded clock values
-// (optionally rescaled), and every message, collective entry and
-// rendezvous is re-costed through a caller-chosen MachineModel using the
-// *recorded* RNG keys — so the what-if machine sees the same logical
-// jitter draws the original machine did, just with different parameters.
-//
-// Two clock frames run side by side per rank:
-//   t_rec  re-simulates the recorded machine. It reproduces the recorded
-//          clock exactly (bit for bit) by induction, which lets gap events
-//          restore absolute recorded times and doubles as an integrity
-//          check: a recorded timestamp behind t_rec means the trace and
-//          its header model disagree.
-//   t_cur  runs the what-if machine. When the what-if model equals the
-//          recorded one (and compute_scale is 1) the frames stay in
-//          lockstep and the replay is bit-identical to the original run.
+// application. It is the what-if observer of the one event walker
+// (trace/walk.hpp), which runs two clock frames per rank: the recorded
+// frame re-simulates the header's machine and must reproduce the recorded
+// clock bit for bit (the walk's integrity check), and the what-if frame
+// re-charges compute gaps (optionally rescaled) and re-costs every message,
+// collective entry and rendezvous through a caller-chosen MachineModel
+// using the *recorded* RNG keys. When the what-if model equals the recorded
+// one the frames stay in lockstep and the replay is bit-identical to the
+// original run. The observer collects the what-if frame's section totals,
+// per-instance spans and timeline; the offline analyzer
+// (analysis/interp.hpp) is the walk's other observer.
 #pragma once
 
 #include <cstdint>

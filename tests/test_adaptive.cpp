@@ -62,7 +62,7 @@ TEST(Advisor, NeverWorseThanUniformInModel) {
   for (int scenario = 0; scenario < 30; ++scenario) {
     AdaptiveAdvisor advisor;
     for (int sec = 0; sec < 3; ++sec) {
-      ScalingSeries s("s" + std::to_string(sec));
+      ScalingSeries s(std::string("s").append(std::to_string(sec)));
       for (const int t : {1, 2, 4, 8, 16}) {
         const double noise =
             ((scenario * 7919 + sec * 104729 + t * 31) % 100) / 100.0;

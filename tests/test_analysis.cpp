@@ -19,6 +19,7 @@
 #include "core/sections/api.hpp"
 #include "core/sections/runtime.hpp"
 #include "mpisim/message.hpp"
+#include "mpisim/progress.hpp"
 #include "mpisim/runtime.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/events.hpp"
@@ -29,30 +30,38 @@ namespace {
 
 using namespace mpisect;
 
-mpisim::WorldOptions jittery_options(std::uint64_t seed = 0x5EED) {
+mpisim::WorldOptions jittery_options(std::uint64_t seed = 0x5EED,
+                                     const std::string& progress = "") {
   mpisim::WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = seed;
+  if (!progress.empty()) opts.progress = mpisim::ProgressModel::parse(progress);
   return opts;
 }
 
 trace::TraceFile record_body(int ranks,
                              const std::function<void(mpisim::Ctx&)>& body,
-                             std::uint64_t seed = 0x5EED) {
-  mpisim::World world(ranks, jittery_options(seed));
+                             std::uint64_t seed = 0x5EED,
+                             const std::string& progress = "") {
+  mpisim::World world(ranks, jittery_options(seed, progress));
   sections::SectionRuntime::install(world);
   auto rec = trace::TraceRecorder::install(world, {.app = "fixture"});
   world.run(body);
   return rec->finish();
 }
 
-trace::TraceFile record_convolution(int ranks, int steps) {
+trace::TraceFile record_convolution(int ranks, int steps,
+                                    const std::string& progress = "") {
   apps::conv::ConvolutionConfig cfg;
   cfg.steps = steps;
   cfg.full_fidelity = false;
   apps::conv::ConvolutionApp app(cfg);
-  return record_body(ranks, std::ref(app));
+  return record_body(ranks, std::ref(app), 0x5EED, progress);
 }
+
+/// The default model plus every progress engine by name.
+const std::vector<std::string> kProgressModels = {
+    "", "blocking-only", "opportunistic", "progress-thread"};
 
 // Rank 0's wildcard receive has two concurrent eligible senders (rank 1,
 // recorded, and the causally independent rank 2). Both matchings complete.
@@ -105,12 +114,42 @@ void latent_body(mpisim::Ctx& ctx) {
 }
 
 TEST(AnalysisInterp, ReproducesRecordedFinalTimesBitExactly) {
-  const trace::TraceFile tf = record_convolution(8, 10);
-  const analysis::InterpResult in = analysis::interpret(tf);
-  ASSERT_EQ(in.final_times.size(), tf.ranks.size());
-  for (std::size_t r = 0; r < tf.ranks.size(); ++r) {
-    EXPECT_EQ(in.final_times[r], tf.ranks[r].t_final) << "rank " << r;
+  for (const std::string& progress : kProgressModels) {
+    SCOPED_TRACE("progress '" + progress + "'");
+    const trace::TraceFile tf = record_convolution(8, 10, progress);
+    const analysis::InterpResult in = analysis::interpret(tf);
+    ASSERT_EQ(in.final_times.size(), tf.ranks.size());
+    for (std::size_t r = 0; r < tf.ranks.size(); ++r) {
+      EXPECT_EQ(in.final_times[r], tf.ranks[r].t_final) << "rank " << r;
+    }
   }
+}
+
+// Under a progress thread every rendezvous delivery lands thread_latency
+// after the wire. Rank 1's last charge is its 64 KiB receive, so the
+// interpreted receive completion must equal its recorded final clock.
+TEST(AnalysisInterp, ProgressThreadRendezvousPaysThreadLatency) {
+  const trace::TraceFile tf = record_body(
+      2,
+      [](mpisim::Ctx& ctx) {
+        mpisim::Comm world = ctx.world_comm();
+        std::vector<char> buf(64 * 1024);
+        if (world.rank() == 0) {
+          world.send(buf.data(), buf.size(), 1, 0);
+        } else {
+          world.recv(buf.data(), buf.size(), 0, 0);
+        }
+      },
+      0x5EED, "progress-thread");
+  const auto& events = tf.ranks[1].events;
+  const auto wait = std::find_if(
+      events.begin(), events.end(), [](const trace::Event& ev) {
+        return ev.kind == trace::EventKind::RecvWait;
+      });
+  ASSERT_NE(wait, events.end());
+  const analysis::InterpResult in = analysis::interpret(tf);
+  const auto idx = static_cast<std::size_t>(wait - events.begin());
+  EXPECT_EQ(in.times[1][idx].t, tf.ranks[1].t_final);  // bitwise
 }
 
 TEST(AnalysisInterp, MakespanMatchesReplayBitExactly) {
@@ -129,12 +168,15 @@ TEST(AnalysisInterp, DeterministicTraceSkipsVectorClocks) {
 }
 
 TEST(AnalysisCriticalPath, TotalEqualsReplayMakespanBitExactly) {
-  const trace::TraceFile tf = record_convolution(8, 10);
-  const analysis::AnalysisResult res = analysis::analyze(tf);
-  const trace::ReplayResult rr = trace::replay(tf, tf.header.machine);
-  EXPECT_EQ(res.critical_path.t_total, rr.makespan);  // bitwise
-  EXPECT_EQ(res.critical_path.end_rank, res.interp.last_rank);
-  EXPECT_GT(res.critical_path.length, 0u);
+  for (const std::string& progress : kProgressModels) {
+    SCOPED_TRACE("progress '" + progress + "'");
+    const trace::TraceFile tf = record_convolution(8, 10, progress);
+    const analysis::AnalysisResult res = analysis::analyze(tf);
+    const trace::ReplayResult rr = trace::replay(tf, tf.header.machine);
+    EXPECT_EQ(res.critical_path.t_total, rr.makespan);  // bitwise
+    EXPECT_EQ(res.critical_path.end_rank, res.interp.last_rank);
+    EXPECT_GT(res.critical_path.length, 0u);
+  }
 }
 
 TEST(AnalysisCriticalPath, SlackOfLastRankIsZero) {

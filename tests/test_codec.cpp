@@ -17,6 +17,7 @@
 #include "core/sections/runtime.hpp"
 #include "mpisim/runtime.hpp"
 #include "support/rng.hpp"
+#include "temp_path.hpp"
 #include "trace/event_wire.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
@@ -198,9 +199,8 @@ TEST(Mpstz, SeekedWindowDecodesOnlyNeededChunks) {
 
 TEST(Mpstz, DigestIsFormatIndependent) {
   const trace::TraceFile tf = record_convolution(4, 10);
-  const std::string dir = ::testing::TempDir();
-  const std::string mpst_path = dir + "codec_digest.mpst";
-  const std::string mpstz_path = dir + "codec_digest.mpstz";
+  const std::string mpst_path = test::temp_path("codec_digest.mpst");
+  const std::string mpstz_path = test::temp_path("codec_digest.mpstz");
   tf.save(mpst_path);
   const auto z = codec::compress(tf);
   {

@@ -6,6 +6,7 @@
 #include "apps/convolution/convolution.hpp"
 #include "core/sections/runtime.hpp"
 #include "profiler/section_profiler.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -160,7 +161,7 @@ TEST(ConvolutionStore, WritesRequestedFile) {
   World world(2, ideal_options());
   sections::SectionRuntime::install(world);
   ConvolutionConfig cfg = small_config(1, /*full=*/true);
-  cfg.store_path = "/tmp/mpisect_conv_test.ppm";
+  cfg.store_path = test::temp_path("conv_test.ppm");
   ConvolutionApp app(cfg);
   world.run(std::ref(app));
   FILE* f = std::fopen(cfg.store_path.c_str(), "rb");

@@ -141,7 +141,8 @@ TEST(Diff, RealisticWorkflowAcrossConfigurations) {
     cfg.full_fidelity = false;
     apps::lulesh::LuleshApp app(cfg);
     world.run(std::ref(app));
-    return ProfileSnapshot::capture(prof, "t" + std::to_string(threads));
+    return ProfileSnapshot::capture(
+        prof, std::string("t").append(std::to_string(threads)));
   };
   const auto t1 = profile_at(1);
   const auto t16 = profile_at(16);

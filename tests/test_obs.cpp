@@ -222,10 +222,14 @@ TEST(ObsMem, ChannelChargesReachHighWaterThenDrain) {
     std::vector<double> buf(256, static_cast<double>(ctx.rank()));
     const std::size_t bytes = buf.size() * sizeof(double);
     const int peer = ctx.rank() ^ 1;
+    // The barrier orders each even rank's send before its peer's receive
+    // post, so the tag-7 message is queued unexpected under any schedule.
     if ((ctx.rank() & 1) == 0) {
       comm.send(buf.data(), bytes, peer, /*tag=*/7);
+      comm.barrier();
       comm.recv(buf.data(), bytes, peer, /*tag=*/9);
     } else {
+      comm.barrier();
       comm.recv(buf.data(), bytes, peer, /*tag=*/7);
       comm.send(buf.data(), bytes, peer, /*tag=*/9);
     }

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -27,11 +28,13 @@
 #include "serve/service.hpp"
 #include "support/digest.hpp"
 #include "support/json.hpp"
+#include "temp_path.hpp"
 #include "trace/recorder.hpp"
 
 namespace {
 
 using namespace mpisect;
+using test::temp_path;
 
 trace::TraceFile record_fixture(int ranks = 4, int steps = 10) {
   mpisim::WorldOptions opts;
@@ -46,10 +49,6 @@ trace::TraceFile record_fixture(int ranks = 4, int steps = 10) {
   apps::conv::ConvolutionApp app(cfg);
   world.run(std::ref(app));
   return rec->finish();
-}
-
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/" + name;
 }
 
 void write_bytes(const std::string& path,
@@ -75,6 +74,10 @@ const Fixture& fixture() {
     f->mpstz_path = temp_path("serve_fixture.mpstz");
     write_bytes(f->mpst_path, f->tf.encode());
     write_bytes(f->mpstz_path, codec::compress(f->tf));
+    std::atexit([] {
+      std::remove(fixture().mpst_path.c_str());
+      std::remove(fixture().mpstz_path.c_str());
+    });
     return f;
   }();
   return *fx;
@@ -359,6 +362,7 @@ TEST(Service, CorruptContainerIsACleanError) {
   if (!v.find("ok")->boolean) {
     EXPECT_FALSE(v.find("error")->string.empty());
   }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- server --

@@ -33,6 +33,7 @@
 #include "telemetry/export.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/timeline.hpp"
+#include "temp_path.hpp"
 #include "trace/file.hpp"
 #include "trace/recorder.hpp"
 
@@ -236,7 +237,7 @@ TEST(SessionStreaming, RecorderSaveMatchesFinishEncode) {
   const std::vector<std::uint8_t> monolithic = tf.encode();
   EXPECT_GT(rec->total_events(), 0u);
 
-  const std::string path = ::testing::TempDir() + "session_stream.mpst";
+  const std::string path = test::temp_path("session_stream.mpst");
   rec->save(path);
   EXPECT_EQ(slurp(path), monolithic);
   std::remove(path.c_str());

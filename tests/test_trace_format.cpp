@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "support/rng.hpp"
+#include "temp_path.hpp"
 #include "trace/file.hpp"
 
 namespace {
@@ -310,8 +311,7 @@ TEST(TraceFormat, ByteSwappedMagicGetsEndianDiagnostic) {
 
 TEST(TraceFormat, SaveLoadRoundTrip) {
   const TraceFile tf = random_trace(11, 2, 30);
-  const std::string path =
-      testing::TempDir() + "/mpisect_format_roundtrip.mpst";
+  const std::string path = test::temp_path("format_roundtrip.mpst");
   tf.save(path);
   const TraceFile back = TraceFile::load(path);
   EXPECT_EQ(back.encode(), tf.encode());
