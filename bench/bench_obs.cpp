@@ -13,9 +13,9 @@
 //     rows so the row decomposition stays valid up to 65,536 ranks).
 //     Emits BENCH_scale.json; CI floors the p=256 ranks/s against a
 //     committed baseline.
-//   * init: Session/WorldBuilder construction time vs the deprecated eager
-//     World(nranks, options) constructor, 1k -> 65k ranks. Lazy
-//     construction is O(1) per unstarted rank; the curve proves it.
+//   * init: Session/WorldBuilder construction time, 1k -> 65k ranks.
+//     World construction is lazy, O(1) per unstarted rank; the curve
+//     proves it.
 //   * matching: hashed vs legacy engine on the adversarial funnel (rank 0
 //     posts p-1 descending-source receives, every other rank sends one
 //     message), where the legacy scan is O(p^2). Virtual times must be
@@ -169,8 +169,7 @@ FunnelResult funnel_once(int p, const std::string& match) {
   return r;
 }
 
-/// Construction-only timings (no run): the Sessions-style lazy path vs the
-/// deprecated eager constructor, same options.
+/// Construction-only timing (no run) of a lazily built world.
 double init_lazy_s(int p) {
   const double t0 = now_wall_s();
   const auto world_ptr =
@@ -178,14 +177,6 @@ double init_lazy_s(int p) {
           .world_builder()
           .machine(mpisim::MachineModel::nehalem_cluster())
           .build();
-  return now_wall_s() - t0;
-}
-
-double init_eager_s(int p) {
-  mpisim::WorldOptions opts;
-  opts.machine = mpisim::MachineModel::nehalem_cluster();
-  const double t0 = now_wall_s();
-  mpisim::World world(p, opts);
   return now_wall_s() - t0;
 }
 
@@ -328,20 +319,15 @@ int main(int argc, char** argv) {
                     {"spans", static_cast<double>(m.spans)}});
   }
 
-  // ---- Session init: lazy WorldBuilder vs deprecated eager ctor ----------
+  // ---- Session init: lazy world construction ----------------------------
   std::printf("\nworld construction (no run — ctor cost only):\n");
-  std::printf("  %6s %14s %14s %8s\n", "p", "lazy ms", "eager ms", "ratio");
+  std::printf("  %6s %14s\n", "p", "lazy ms");
   for (const int p : init_ranks) {
     const double lazy_s = init_lazy_s(p);
-    const double eager_s = init_eager_s(p);
-    const double ratio = lazy_s > 0.0 ? eager_s / lazy_s : 0.0;
-    std::printf("  %6d %14.3f %14.3f %7.1fx\n", p, lazy_s * 1e3,
-                eager_s * 1e3, ratio);
+    std::printf("  %6d %14.3f\n", p, lazy_s * 1e3);
     scale_json.add("obs/init/p:" + std::to_string(p), lazy_s,
                    {{"ranks", static_cast<double>(p)},
-                    {"init_lazy_s", lazy_s},
-                    {"init_eager_s", eager_s},
-                    {"eager_over_lazy", ratio}});
+                    {"init_lazy_s", lazy_s}});
   }
 
   // ---- matching engines: hashed vs legacy on the O(p^2) funnel -----------

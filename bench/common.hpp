@@ -42,7 +42,7 @@ struct ConvolutionSweepOptions {
   mpisim::faults::FaultPlan faults;
   /// Execution backend spec, e.g. "cooperative:workers=4,stack=128".
   std::string exec = "cooperative";
-  /// Matching engine spec, e.g. "hashed:buckets=64" or "legacy".
+  /// Matching engine spec: "hashed" or "legacy".
   std::string match = "hashed";
 };
 

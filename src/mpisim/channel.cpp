@@ -18,13 +18,7 @@ const char* MatchModel::name() const noexcept {
   return mode == MatchMode::Legacy ? "legacy" : "hashed";
 }
 
-std::string MatchModel::spec() const {
-  std::string s = name();
-  if (mode == MatchMode::Hashed && buckets > 0) {
-    s += ":buckets=" + std::to_string(buckets);
-  }
-  return s;
-}
+std::string MatchModel::spec() const { return name(); }
 
 MatchModel MatchModel::parse(const std::string& spec) {
   support::SpecParts parts;
@@ -45,25 +39,14 @@ MatchModel MatchModel::parse(const std::string& spec) {
   }
   require(parts.options.empty() || m.mode == MatchMode::Hashed, Err::Arg,
           "legacy takes no options");
-
-  for (const auto& [key, raw] : parts.options) {
-    int value = 0;
-    try {
-      value = support::spec_int(raw);
-    } catch (const std::invalid_argument& e) {
-      throw MpiError(Err::Arg, std::string("match ") + e.what());
-    }
-    if (key == "buckets") {
-      m.buckets = static_cast<std::size_t>(value);
-    } else {
-      throw MpiError(Err::Arg,
-                     "unknown match option '" + key + "' for hashed");
-    }
+  if (!parts.options.empty()) {
+    throw MpiError(Err::Arg, "unknown match option '" +
+                                 parts.options.front().first + "' for hashed");
   }
   return m;
 }
 
-std::string MatchModel::choices() { return "hashed[:buckets=N]|legacy"; }
+std::string MatchModel::choices() { return "hashed|legacy"; }
 
 // ---------------------------------------------------------------------------
 // Channel
@@ -107,15 +90,6 @@ Channel::~Channel() {
     delete n;
     n = next;
   }
-}
-
-void Channel::reserve_tables(std::size_t buckets) {
-  um_by_pair_.reserve(buckets);
-  um_by_src_.reserve(buckets);
-  um_by_tag_.reserve(buckets);
-  pr_by_pair_.reserve(buckets);
-  pr_by_src_.reserve(buckets);
-  pr_by_tag_.reserve(buckets);
 }
 
 bool Channel::compatible(const PostedRecv& r, const Message& m) noexcept {

@@ -54,23 +54,21 @@ enum class MatchMode {
   Legacy,  ///< linear deque scans (differential reference)
 };
 
-/// Matching-engine selection plus its tuning knobs, in the shared
-/// `preset[:key=value,...]` spec vocabulary (the `--match` flag):
+/// Matching-engine selection, in the shared `preset[:key=value,...]` spec
+/// vocabulary (the `--match` flag); neither engine takes options:
 ///
 ///   hashed                 O(1) engine, tables sized on demand
-///   hashed:buckets=64      pre-reserve 64 hash buckets per table
 ///   legacy                 linear-scan reference engine
 struct MatchModel {
   MatchMode mode = MatchMode::Hashed;
-  std::size_t buckets = 0;  ///< initial hash-table reservation per channel
 
   bool operator==(const MatchModel&) const = default;
 
   [[nodiscard]] const char* name() const noexcept;
   /// Canonical spec string; MatchModel::parse(spec()) == *this.
   [[nodiscard]] std::string spec() const;
-  /// Parse a spec string. Throws MpiError(Err::Arg) on unknown presets,
-  /// unknown options, or options on the legacy engine.
+  /// Parse a spec string. Throws MpiError(Err::Arg) on unknown presets
+  /// and on any option (neither engine takes one).
   static MatchModel parse(const std::string& spec);
   static std::string choices();
 };
@@ -94,11 +92,7 @@ class Channel {
           obs::MemAccount::RankMem* mem = nullptr,
           MatchModel match = {}) noexcept
       : abort_(abort_flag), rendezvous_extra_(rendezvous_extra), mem_(mem),
-        match_(match), wp_(exec, mu_) {
-    if (match_.mode == MatchMode::Hashed && match_.buckets > 0) {
-      reserve_tables(match_.buckets);
-    }
-  }
+        match_(match), wp_(exec, mu_) {}
 
   ~Channel();
 
@@ -188,7 +182,6 @@ class Channel {
   /// Caller holds the mutex.
   void complete_match(const MessagePtr& msg, const PostedRecvPtr& recv) const;
   void check_abort() const;
-  void reserve_tables(std::size_t buckets);
 
   static std::uint64_t pair_key(int src, int tag) noexcept {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))

@@ -139,8 +139,8 @@ std::optional<MachineModel> MachineModel::preset(std::string_view name) {
   return std::nullopt;
 }
 
-std::vector<std::string> MachineModel::preset_names() {
-  return {"nehalem-cluster", "knl", "broadwell-2s", "ideal"};
+std::string MachineModel::choices() {
+  return "nehalem-cluster|knl|broadwell-2s|ideal";
 }
 
 namespace {

@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "mpisim/netmodel.hpp"
 
@@ -91,8 +90,9 @@ class MachineModel {
   /// "knl", "broadwell-2s", "ideal"). Returns nullopt for unknown names.
   [[nodiscard]] static std::optional<MachineModel> preset(
       std::string_view name);
-  /// Names accepted by preset(), in presentation order.
-  [[nodiscard]] static std::vector<std::string> preset_names();
+  /// "nehalem-cluster|knl|broadwell-2s|ideal": the names preset() accepts,
+  /// in presentation order — shared help text.
+  [[nodiscard]] static std::string choices();
   /// Human-readable multi-line parameter dump (mpisect-replay info).
   [[nodiscard]] std::string describe() const;
 };

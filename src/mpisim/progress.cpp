@@ -88,6 +88,20 @@ std::string ProgressModel::choices() {
   return "blocking-only|opportunistic|progress-thread";
 }
 
+MachineModel fold_progress(MachineModel m, const ProgressModel& rec,
+                           const ProgressModel& cur,
+                           bool machine_is_recorded) {
+  if (machine_is_recorded && rec.mode == ProgressMode::Opportunistic) {
+    m.net.send_overhead -= rec.entry_overhead;
+    m.net.recv_overhead -= rec.entry_overhead;
+  }
+  if (cur.mode == ProgressMode::Opportunistic) {
+    m.net.send_overhead += cur.entry_overhead;
+    m.net.recv_overhead += cur.entry_overhead;
+  }
+  return m;
+}
+
 double ProgressModel::nbc_complete_time(double t_wait_entry, double max_post,
                                         double algo_cost) const noexcept {
   switch (mode) {

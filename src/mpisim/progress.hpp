@@ -29,6 +29,8 @@
 #include <cstdint>
 #include <string>
 
+#include "mpisim/machine.hpp"
+
 namespace mpisect::mpisim {
 
 enum class ProgressMode {
@@ -84,6 +86,17 @@ struct ProgressModel {
   /// "blocking-only|opportunistic|progress-thread" — shared help text.
   [[nodiscard]] static std::string choices();
 };
+
+/// Adjust a machine's per-message CPU overheads for a progress model: the
+/// opportunistic entry poll is folded into send/recv overheads. For a
+/// what-if change of model, `machine_is_recorded` says whether `m` came
+/// from a trace header (already folded for `rec`, which is removed first)
+/// or is a pristine preset (unfolded; `rec` is ignored). A World folds its
+/// own model this way at construction.
+[[nodiscard]] MachineModel fold_progress(MachineModel m,
+                                         const ProgressModel& rec,
+                                         const ProgressModel& cur,
+                                         bool machine_is_recorded);
 
 /// Modeled cost of the background algorithm behind a nonblocking
 /// collective: ceil(log2 p) rounds of one link latency plus the

@@ -11,6 +11,10 @@
 // per-rank init/finalize callbacks, mirroring how PMPI tools wrap
 // MPI_Init/MPI_Finalize.
 //
+// World(nranks, options) is the only constructor, and it is lazy: no
+// per-rank communicator state exists until run() (Session/WorldBuilder in
+// session.hpp fill the options from spec strings).
+//
 //   World world(16, {.machine = MachineModel::nehalem_cluster()});
 //   world.run([](Ctx& ctx) {
 //     Comm comm = ctx.world_comm();
@@ -74,14 +78,14 @@ struct WorldOptions {
   /// Message-matching engine (see channel.hpp). Hashed is the O(1) default;
   /// Legacy keeps the linear-scan reference for differential testing. Both
   /// produce bit-identical virtual times.
-  MatchModel match;
+  MatchModel match = {};
   /// Deterministic fault-injection plan (see faults/plan.hpp). An empty
   /// plan constructs no engine, so fault-free runs are bit-identical to a
   /// build without the fault layer.
-  faults::FaultPlan faults;
+  faults::FaultPlan faults = {};
   /// Asynchronous-progress model (see progress.hpp). The blocking-only
   /// default keeps every artifact bit-identical to runs that predate it.
-  ProgressModel progress;
+  ProgressModel progress = {};
 };
 
 /// Attachment point for layers that need per-rank lifecycle callbacks.
@@ -96,18 +100,12 @@ class Extension {
 
 class World {
  public:
-  /// Eager construction — DEPRECATED. Builds the full world communicator
-  /// (one channel slot array plus per-rank state for every member) at
-  /// construction time, exactly as the original API did. Prefer
-  /// `Session`/`WorldBuilder` (session.hpp), which defer all per-rank
-  /// state to the first run() and construct channels on first touch; at
-  /// 65,536 ranks the difference is the bulk of startup time. This shim
-  /// logs a one-time deprecation warning and will be removed.
+  /// Constructs lazily: no world communicator and no per-rank channel
+  /// state until run() — O(1) memory per unstarted rank. Throws
+  /// MpiError(Err::Arg) if nranks <= 0. `Session`/`WorldBuilder`
+  /// (session.hpp) assemble the options from spec strings.
   World(int nranks, WorldOptions options);
   ~World();
-
-  /// Reset the eager-constructor deprecation warn-once latch (tests only).
-  static void reset_eager_ctor_warning_for_test() noexcept;
 
   World(const World&) = delete;
   World& operator=(const World&) = delete;
@@ -206,11 +204,6 @@ class World {
 
  private:
   friend class Ctx;
-  friend class WorldBuilder;
-  /// Lazy construction (WorldBuilder::build()): no world communicator, no
-  /// per-rank channel state until run() — O(1) memory per unstarted rank.
-  struct Lazy {};
-  World(int nranks, WorldOptions options, Lazy);
 
   int nranks_;
   WorldOptions options_;
@@ -233,9 +226,11 @@ class World {
   /// Whether on_comm_create fired for the current world communicator (so a
   /// later run() knows to emit the matching on_comm_free).
   bool world_comm_announced_ = false;
-  std::vector<std::shared_ptr<Extension>> extensions_;
   std::unique_ptr<faults::FaultEngine> fault_engine_;
   std::unique_ptr<hooks::ToolStack> tool_stack_;
+  // Declared last so it is destroyed first: extension tools detach from
+  // the tool stack in their destructors.
+  std::vector<std::shared_ptr<Extension>> extensions_;
 };
 
 /// Per-rank execution context; lives on the rank thread's stack for the

@@ -29,9 +29,7 @@ std::string WorldBuilder::describe() const {
 }
 
 std::unique_ptr<World> WorldBuilder::build() const {
-  require(nranks_ > 0, Err::Arg, "world size must be positive");
-  // std::make_unique cannot reach the private lazy constructor.
-  return std::unique_ptr<World>(new World(nranks_, opts_, World::Lazy{}));
+  return std::make_unique<World>(nranks_, opts_);
 }
 
 // ---------------------------------------------------------------------------

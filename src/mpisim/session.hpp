@@ -1,25 +1,19 @@
 // Sessions-style world construction (the MPI-4 Sessions shape, simulated).
 //
-// The original API built everything up front:
-//
-//   World world(65536, opts);          // eager: 65536 ranks of state, now
-//
-// which at extreme scale pays for per-rank communicator state before a
-// single rank has run. The Sessions-style API separates *naming* the
-// process set from *materializing* it:
+// Every World is lazy: construction holds O(1) state per rank, the world
+// communicator appears at run() (which rebuilt it each run anyway) and
+// CommImpl defers each peer channel to first touch. The Sessions-style API
+// separates *naming* the process set from *configuring* its world:
 //
 //   Session session(65536);
 //   auto world = session.world_builder()     // "mpi://WORLD" by default
 //                    .exec_spec("cooperative:workers=8,stack=128")
 //                    .match_spec("hashed")
-//                    .build();               // lazy: O(1) per unstarted rank
+//                    .build();               // World(nranks, options)
 //   world->run(rank_main);                   // per-rank state appears here
 //
-// A lazy World defers the world communicator to run() (which rebuilt it
-// each run anyway) and CommImpl defers each peer channel to first touch,
-// so construction cost is independent of rank count. The eager
-// `World(nranks, options)` constructor remains as a deprecated warn-once
-// shim with identical observable behaviour.
+// WorldBuilder only assembles WorldOptions from the shared spec strings;
+// `World(nranks, options)` built directly is the same world.
 //
 // Process sets follow the MPI standard's two built-ins: "mpi://WORLD"
 // (all nranks) and "mpi://SELF" (one rank). Queries mirror
@@ -91,7 +85,7 @@ class WorldBuilder {
     opts_.match = m;
     return *this;
   }
-  /// e.g. "hashed:buckets=64" or "legacy".
+  /// "hashed" or "legacy".
   WorldBuilder& match_spec(const std::string& spec) {
     return match(MatchModel::parse(spec));
   }
@@ -118,8 +112,8 @@ class WorldBuilder {
   /// setter reproduces this builder).
   [[nodiscard]] std::string describe() const;
 
-  /// Construct the World lazily: per-rank communicator state is deferred
-  /// to run(). Throws MpiError(Err::Arg) if nranks <= 0.
+  /// Construct the World (lazy: per-rank communicator state is deferred
+  /// to run()). Throws MpiError(Err::Arg) if nranks <= 0.
   [[nodiscard]] std::unique_ptr<World> build() const;
 
  private:

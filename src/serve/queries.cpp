@@ -105,12 +105,7 @@ trace::ReplayOptions replay_options(const trace::TraceFile& tf,
 }  // namespace
 
 std::string model_choices() {
-  std::string out = "recorded";
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    out += "|";
-    out += n;
-  }
-  return out;
+  return "recorded|" + mpisim::MachineModel::choices();
 }
 
 ResolvedModel resolve_model(const trace::TraceFile& tf,
@@ -143,9 +138,9 @@ ResolvedModel resolve_model(const trace::TraceFile& tf,
   // A recorded-header machine already carries the recorded model's
   // opportunistic entry-poll fold; presets are pristine.
   r.progress = resolve_progress(tf, p.progress);
-  r.machine = trace::fold_progress(r.machine, tf.header.progress, r.progress,
-                                   /*machine_is_recorded=*/p.model ==
-                                       "recorded");
+  r.machine = mpisim::fold_progress(r.machine, tf.header.progress,
+                                    r.progress, /*machine_is_recorded=*/
+                                    p.model == "recorded");
   return r;
 }
 
@@ -238,7 +233,7 @@ std::string run_sweep(const trace::TraceFile& tf, const SweepQuery& q) {
           m.net.inter_node.bandwidth *= bs;
           for (const std::string& pitem : q.progress) {
             const mpisim::ProgressModel pm = resolve_progress(tf, pitem);
-            const mpisim::MachineModel mp = trace::fold_progress(
+            const mpisim::MachineModel mp = mpisim::fold_progress(
                 m, tf.header.progress, pm,
                 /*machine_is_recorded=*/mname == "recorded");
             for (const double dr : q.drop_rates) {

@@ -117,21 +117,6 @@ struct SectionObserver : WalkObserver {
 
 }  // namespace
 
-mpisim::MachineModel fold_progress(mpisim::MachineModel m,
-                                   const mpisim::ProgressModel& rec,
-                                   const mpisim::ProgressModel& cur,
-                                   bool machine_is_recorded) {
-  if (machine_is_recorded && rec.mode == mpisim::ProgressMode::Opportunistic) {
-    m.net.send_overhead -= rec.entry_overhead;
-    m.net.recv_overhead -= rec.entry_overhead;
-  }
-  if (cur.mode == mpisim::ProgressMode::Opportunistic) {
-    m.net.send_overhead += cur.entry_overhead;
-    m.net.recv_overhead += cur.entry_overhead;
-  }
-  return m;
-}
-
 ReplayResult replay(const TraceFile& tf, const mpisim::MachineModel& machine,
                     const ReplayOptions& options) {
   ReplayResult res;

@@ -47,18 +47,9 @@ struct ReplayOptions {
   /// Progress model for the what-if frame. Unset = the trace header's own
   /// model (no change; pre-v4 traces recorded blocking-only). The caller
   /// must pass a `machine` whose overheads are already folded for this
-  /// model — see fold_progress().
+  /// model — see mpisim::fold_progress().
   std::optional<mpisim::ProgressModel> progress = std::nullopt;
 };
-
-/// Adjust a what-if machine's per-message CPU overheads for a change of
-/// progress model: remove the recorded run's opportunistic entry-poll fold
-/// (a recorded header machine already carries it) and apply the what-if
-/// model's. `machine_is_recorded` says whether `m` came from a trace
-/// header (folded for `rec`) or is a pristine preset (unfolded).
-[[nodiscard]] mpisim::MachineModel fold_progress(
-    mpisim::MachineModel m, const mpisim::ProgressModel& rec,
-    const mpisim::ProgressModel& cur, bool machine_is_recorded);
 
 /// Per-(comm, label) section statistics of the replayed timeline.
 struct ReplaySectionStat {

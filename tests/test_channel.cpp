@@ -249,11 +249,13 @@ struct EngineFixture {
 
 TEST(ChannelEngines, SpecVocabularyRoundTrips) {
   EXPECT_EQ(MatchModel{}.spec(), "hashed");
-  EXPECT_EQ(MatchModel::parse("hashed:buckets=64").buckets, 64u);
-  EXPECT_EQ(MatchModel::parse("hashed:buckets=64").spec(),
-            "hashed:buckets=64");
+  EXPECT_EQ(MatchModel::parse("hashed").spec(), "hashed");
   EXPECT_EQ(MatchModel::parse("legacy").mode, MatchMode::Legacy);
+  EXPECT_EQ(MatchModel::parse("legacy").spec(), "legacy");
   EXPECT_THROW(MatchModel::parse("btree"), MpiError);
+  // Neither engine takes options: the removed buckets= knob is rejected
+  // like any unknown option.
+  EXPECT_THROW(MatchModel::parse("hashed:buckets=64"), MpiError);
   EXPECT_THROW(MatchModel::parse("legacy:buckets=2"), MpiError);
 }
 

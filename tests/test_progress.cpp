@@ -382,17 +382,19 @@ TEST(ProgressTrace, FoldProgressMovesEntryOverheadBothWays) {
   const ProgressModel opp = ProgressModel::parse("opportunistic:entry=1e-7");
 
   // Pristine preset -> opportunistic what-if: the poll cost is added.
-  const MachineModel folded = trace::fold_progress(m, blocking, opp, false);
+  const MachineModel folded =
+      mpisim::fold_progress(m, blocking, opp, false);
   EXPECT_DOUBLE_EQ(folded.net.send_overhead, m.net.send_overhead + 1e-7);
   EXPECT_DOUBLE_EQ(folded.net.recv_overhead, m.net.recv_overhead + 1e-7);
 
   // A recorded opportunistic header already carries the fold: replaying
   // under blocking-only removes it again.
-  const MachineModel back = trace::fold_progress(folded, opp, blocking, true);
+  const MachineModel back =
+      mpisim::fold_progress(folded, opp, blocking, true);
   EXPECT_DOUBLE_EQ(back.net.send_overhead, m.net.send_overhead);
   EXPECT_DOUBLE_EQ(back.net.recv_overhead, m.net.recv_overhead);
   // Same-model fold is the identity.
-  const MachineModel same = trace::fold_progress(folded, opp, opp, true);
+  const MachineModel same = mpisim::fold_progress(folded, opp, opp, true);
   EXPECT_DOUBLE_EQ(same.net.send_overhead, folded.net.send_overhead);
 }
 
@@ -433,7 +435,7 @@ TEST(ProgressTrace, WhatIfProgressThreadTaxShowsInReplay) {
   trace::ReplayOptions opts;
   opts.progress = pt;
   const MachineModel folded =
-      trace::fold_progress(tf.header.machine, tf.header.progress, pt, true);
+      mpisim::fold_progress(tf.header.machine, tf.header.progress, pt, true);
   const trace::ReplayResult taxed = trace::replay(tf, folded, opts);
   EXPECT_GT(taxed.makespan, base.makespan);
 }

@@ -4,11 +4,9 @@
 //     friends (two built-ins: mpi://WORLD, mpi://SELF);
 //   * WorldBuilder specs round-trip (describe() strings feed back through
 //     the matching setters) and reject unknown presets/options;
-//   * the deprecated eager World(nranks, options) constructor warns exactly
-//     once per process and stays observably identical to the lazy path:
-//     same final virtual times, same .mpst bytes, same telemetry CSVs;
 //   * both matching engines and all execution backends produce bit-identical
-//     artifacts — the differential matrix behind the hashed engine;
+//     artifacts (final virtual times, .mpst bytes, telemetry CSVs) — the
+//     differential matrix behind the hashed engine;
 //   * streaming trace writes (TraceRecorder::save, codec::compress_stream)
 //     are byte-identical to the monolithic finish().encode()/compress();
 //   * the v5 trace format round-trips the hierarchical-NBC machine flag;
@@ -29,7 +27,6 @@
 #include "mpisim/error.hpp"
 #include "mpisim/progress.hpp"
 #include "mpisim/session.hpp"
-#include "support/log.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/timeline.hpp"
@@ -75,12 +72,12 @@ TEST(WorldBuilder, DescribeUsesCanonicalRoundTripSpecs) {
   Session s(8);
   auto b = s.world_builder()
                .exec_spec("cooperative:workers=4,stack=256")
-               .match_spec("hashed:buckets=64")
+               .match_spec("hashed")
                .progress_spec("blocking-only")
                .seed(7);
   EXPECT_EQ(b.describe(),
             "ranks=8 exec=cooperative:workers=4,stack=256 "
-            "match=hashed:buckets=64 progress=blocking-only seed=7");
+            "match=hashed progress=blocking-only seed=7");
   // Feed every spec back through its setter: a fixed point.
   const auto& o = b.peek_options();
   mpisim::ExecModel em;
@@ -102,38 +99,12 @@ TEST(WorldBuilder, SpecsRejectUnknownPresetsAndOptions) {
   EXPECT_THROW(s.world_builder().match_spec("btree"), mpisim::MpiError);
   EXPECT_THROW(s.world_builder().match_spec("legacy:buckets=8"),
                mpisim::MpiError);
+  EXPECT_THROW(s.world_builder().match_spec("hashed:buckets=64"),
+               mpisim::MpiError);
 }
 
 // ---------------------------------------------------------------------------
-// Deprecated eager constructor: warn-once shim
-// ---------------------------------------------------------------------------
-
-TEST(Session, EagerCtorWarnsExactlyOncePerProcess) {
-  World::reset_eager_ctor_warning_for_test();
-  std::string log;
-  support::set_log_capture(&log);
-  {
-    WorldOptions opts;
-    World first(2, opts);
-    World second(2, opts);
-  }
-  support::set_log_capture(nullptr);
-  EXPECT_NE(log.find("deprecated"), std::string::npos) << log;
-  EXPECT_NE(log.find("Session"), std::string::npos) << log;
-  // One warning for two constructions.
-  EXPECT_EQ(log.find("deprecated"), log.rfind("deprecated")) << log;
-
-  // The lazy path never warns.
-  World::reset_eager_ctor_warning_for_test();
-  log.clear();
-  support::set_log_capture(&log);
-  { const auto w = Session(2).world_builder().build(); }
-  support::set_log_capture(nullptr);
-  EXPECT_EQ(log.find("deprecated"), std::string::npos) << log;
-}
-
-// ---------------------------------------------------------------------------
-// Differential bit-identity: eager/lazy x backends x matching engines
+// Differential bit-identity: backends x matching engines
 // ---------------------------------------------------------------------------
 
 struct RunArtifacts {
@@ -183,17 +154,6 @@ void expect_identical(const RunArtifacts& a, const RunArtifacts& b,
   EXPECT_EQ(a.trace, b.trace) << what;
   EXPECT_EQ(a.timeline_csv, b.timeline_csv) << what;
   EXPECT_EQ(a.counters_csv, b.counters_csv) << what;
-}
-
-TEST(SessionDifferential, EagerShimMatchesLazyBuild) {
-  WorldOptions opts;
-  opts.machine = mpisim::MachineModel::nehalem_cluster();
-  opts.seed = 0xBEEF;
-  World eager(8, opts);
-  const RunArtifacts a = run_convolution(eager);
-  const auto lazy = Session(8, opts).world_builder().build();
-  const RunArtifacts b = run_convolution(*lazy);
-  expect_identical(a, b, "eager vs lazy");
 }
 
 TEST(SessionDifferential, BackendsAndEnginesAreBitIdentical) {

@@ -146,29 +146,6 @@ TEST(Cli, ThrowsOnUndeclaredGet) {
   EXPECT_THROW((void)args.get_int("nope"), std::logic_error);
 }
 
-TEST(Cli, DeprecatedAliasStillParses) {
-  ArgParser args("prog", "test");
-  args.add_string("model", "ideal", "machine model");
-  args.add_alias("machine", "model");
-  const char* argv[] = {"prog", "--machine", "knl"};
-  ASSERT_TRUE(args.parse(3, argv));
-  EXPECT_EQ(args.get_string("model"), "knl");
-}
-
-TEST(Cli, DeprecationMessageNamesExactReplacement) {
-  // The warning must tell the user precisely which flag to type now —
-  // "deprecated" alone is not actionable. This is the text parse() prints
-  // to stderr when an alias is used (also asserted end-to-end by the
-  // tools.deprecated_* ctest smoke tests).
-  const std::string msg = deprecation_message("mpisect-report", "machine",
-                                              "model");
-  EXPECT_EQ(msg,
-            "mpisect-report: warning: '--machine' is deprecated, "
-            "use '--model' instead");
-  EXPECT_NE(msg.find("'--model'"), std::string::npos)
-      << "suggestion must name the replacement flag";
-}
-
 std::span<const std::uint8_t> as_bytes(const char* s) {
   return {reinterpret_cast<const std::uint8_t*>(s), std::strlen(s)};
 }

@@ -26,21 +26,16 @@
 //
 // Exit status: 0 = no findings, 2 = findings reported, 1 = usage error.
 #include <cstdio>
-#include <fstream>
-#include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "analysis/analyzer.hpp"
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
 #include "codec/mpstz.hpp"
 #include "core/sections/api.hpp"
 #include "core/sections/runtime.hpp"
+#include "launch.hpp"
 #include "mpisim/message.hpp"
-#include "mpisim/session.hpp"
-#include "obs/spans.hpp"
 #include "serve/queries.hpp"
-#include "support/cli.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/recorder.hpp"
@@ -48,15 +43,6 @@
 namespace {
 
 using namespace mpisect;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
 
 // Rank 0 posts a wildcard receive that both rank 1 and rank 2 can satisfy
 // concurrently (rank 2's send is causally independent of rank 0): one
@@ -133,27 +119,12 @@ void scenario_clean(mpisim::Ctx& ctx) {
   sections::MPIX_Section_exit(world, "RING");
 }
 
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), text.size());
-  return true;
-}
-
 /// Record a scenario or app in-process and return the trace.
 trace::TraceFile record_trace(const support::ArgParser& args) {
   const std::string scenario = args.get_string("scenario");
   const std::string app_name = args.get_string("app");
 
-  std::function<void(mpisim::Ctx&)> body;
+  mpisim::World::RankMain body;
   int ranks = static_cast<int>(args.get_int("ranks"));
   if (scenario == "race") {
     body = scenario_race;
@@ -165,46 +136,20 @@ trace::TraceFile record_trace(const support::ArgParser& args) {
     throw std::invalid_argument("unknown scenario '" + scenario +
                                 "' (none|race|latent-deadlock|clean)");
   }
-  if (body) ranks = 3;
-
-  mpisim::WorldOptions opts;
-  const auto preset = mpisim::MachineModel::preset(args.get_string("model"));
-  if (!preset) {
-    throw std::invalid_argument("unknown model '" + args.get_string("model") +
-                                "' (" + preset_list() + ")");
+  if (body) {
+    ranks = 3;
+  } else {
+    body = launch::app_main(app_name, static_cast<int>(args.get_int("steps")));
   }
-  opts.machine = *preset;
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const auto world_ptr = mpisim::Session(ranks, opts)
-                             .world_builder()
-                             .exec_spec(args.get_string("exec"))
-                             .match_spec(args.get_string("match"))
-                             .build();
+
+  const auto world_ptr = launch::make_world(args, ranks);
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
   const std::string provenance =
-      (body ? "scenario-" + scenario : app_name) + " --ranks " +
-      std::to_string(ranks);
+      (scenario != "none" ? "scenario-" + scenario : app_name) +
+      " --ranks " + std::to_string(ranks);
   auto rec = trace::TraceRecorder::install(world, {.app = provenance});
-
-  if (body) {
-    world.run(body);
-  } else if (app_name == "convolution") {
-    apps::conv::ConvolutionConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    cfg.full_fidelity = false;
-    apps::conv::ConvolutionApp app(cfg);
-    world.run(std::ref(app));
-  } else if (app_name == "lulesh") {
-    apps::lulesh::LuleshConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    cfg.full_fidelity = false;
-    apps::lulesh::LuleshApp app(cfg);
-    world.run(std::ref(app));
-  } else {
-    throw std::invalid_argument("unknown app '" + app_name +
-                                "' (convolution|lulesh)");
-  }
+  world.run(body);
   return rec->finish();
 }
 
@@ -223,15 +168,11 @@ int run(int argc, char** argv) {
   args.add_int("ranks", 8, "MPI processes (scenarios use 3)");
   args.add_int("steps", 10, "time-steps (app recording)");
   support::add_world_flags(args);
-  args.add_alias("backend", "exec");
   args.add_string("out", "", "report file ('' = stdout)");
   args.add_string("save-trace", "", "also save the recorded trace here");
   args.add_string("telemetry", "",
                   "write analysis counters as Prometheus text to this file");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    obs::enable_self_trace(st);
-  }
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const std::string format = support::unified_export(args);
   if (format != "text" && format != "csv" && format != "json") {
@@ -253,10 +194,8 @@ int run(int argc, char** argv) {
     const analysis::AnalysisResult res = analysis::analyze(tf);
     telemetry::Registry reg(tf.header.nranks);
     analysis::fill_telemetry(res, reg);
-    if (!emit(telemetry::prometheus_text(reg),
-              args.get_string("telemetry"))) {
-      return 1;
-    }
+    launch::emit(telemetry::prometheus_text(reg),
+                 args.get_string("telemetry"));
   }
 
   // The report runs on the shared serve engine, so the bytes here match a
@@ -265,7 +204,7 @@ int run(int argc, char** argv) {
   q.format = format;
   std::size_t findings = 0;
   const std::string text = serve::run_analyze(tf, q, &findings);
-  if (!emit(text, args.get_string("out"))) return 1;
+  launch::emit(text, args.get_string("out"));
   return findings > 0 ? 2 : 0;
 }
 

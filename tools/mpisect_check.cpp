@@ -18,34 +18,18 @@
 //
 // Exit status: 0 = no findings, 2 = findings reported, 1 = usage error.
 #include <cstdio>
-#include <fstream>
-#include <functional>
-#include <stdexcept>
 #include <string>
 
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
 #include "checker/checker.hpp"
 #include "checker/report.hpp"
 #include "core/sections/api.hpp"
 #include "core/sections/runtime.hpp"
+#include "launch.hpp"
 #include "mpisim/faults/injector.hpp"
-#include "mpisim/session.hpp"
-#include "obs/spans.hpp"
-#include "support/cli.hpp"
 
 namespace {
 
 using namespace mpisect;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
 
 void scenario_deadlock(mpisim::Ctx& ctx) {
   mpisim::Comm world = ctx.world_comm();
@@ -91,21 +75,6 @@ void scenario_section_misuse(mpisim::Ctx& ctx) {
                               world.rank() == 0 ? "COMPUTE" : "EXCHANGE");
 }
 
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), text.size());
-  return true;
-}
-
 int run(int argc, char** argv) {
   support::ArgParser args("mpisect-check",
                           "Run an app under the mpicheck correctness analyzer");
@@ -125,10 +94,7 @@ int run(int argc, char** argv) {
                   "fault plan spec, e.g. 'drop:p=0.05; kill:rank=1,at=1e-3' "
                   "('' = none)");
   args.add_string("out", "", "output file ('' = stdout)");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    obs::enable_self_trace(st);
-  }
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const std::string scenario = args.get_string("scenario");
   const std::string format = support::unified_export(args);
@@ -137,7 +103,7 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  std::function<void(mpisim::Ctx&)> body;
+  mpisim::World::RankMain body;
   int ranks = static_cast<int>(args.get_int("ranks"));
   if (scenario == "deadlock") {
     body = scenario_deadlock;
@@ -153,87 +119,43 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "unknown scenario '%s'\n", scenario.c_str());
     return 1;
   }
-  if (body) ranks = 2;
+  if (body) {
+    ranks = 2;
+  } else {
+    body = launch::app_main(args.get_string("app"),
+                            static_cast<int>(args.get_int("steps")),
+                            /*size=*/0,
+                            static_cast<int>(args.get_int("threads")));
+  }
 
-  mpisim::WorldOptions opts;
-  const auto preset = mpisim::MachineModel::preset(args.get_string("model"));
-  if (!preset) {
-    std::fprintf(stderr, "unknown model '%s' (%s)\n",
-                 args.get_string("model").c_str(), preset_list().c_str());
-    return 1;
-  }
-  opts.machine = *preset;
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  if (!args.get_string("faults").empty()) {
-    try {
-      opts.faults = mpisim::faults::FaultPlan::parse(args.get_string("faults"));
-    } catch (const std::invalid_argument& err) {
-      std::fprintf(stderr, "mpisect-check: %s\n", err.what());
-      return 1;
-    }
-  }
-  const auto world_ptr = mpisim::Session(ranks, opts)
-                             .world_builder()
-                             .exec_spec(args.get_string("exec"))
-                             .match_spec(args.get_string("match"))
-                             .build();
+  const auto world_ptr = launch::make_world(
+      args, ranks,
+      {.faults = mpisim::faults::FaultPlan::parse(args.get_string("faults"))});
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
 
   checker::CheckerOptions copts;
   copts.deadlock_timeout_ms = static_cast<int>(args.get_int("timeout-ms"));
   auto check = checker::MpiChecker::install(world, copts);
+  const mpisim::faults::FaultPlan& faults = world.options().faults;
   std::shared_ptr<mpisim::faults::FaultInjector> injector;
-  if (!opts.faults.empty()) {
+  if (!faults.empty()) {
     injector = mpisim::faults::FaultInjector::install(world);
   }
 
-  if (!body) {
-    const std::string app_name = args.get_string("app");
-    if (app_name == "convolution") {
-      apps::conv::ConvolutionConfig cfg;
-      cfg.steps = static_cast<int>(args.get_int("steps"));
-      cfg.full_fidelity = false;
-      apps::conv::ConvolutionApp app(cfg);
-      body = std::ref(app);
-      try {
-        world.run(body);
-      } catch (const mpisim::MpiError& err) {
-        std::fprintf(stderr, "run terminated: %s\n", err.what());
-      }
-    } else if (app_name == "lulesh") {
-      apps::lulesh::LuleshConfig cfg;
-      cfg.steps = static_cast<int>(args.get_int("steps"));
-      cfg.omp_threads = static_cast<int>(args.get_int("threads"));
-      cfg.full_fidelity = false;
-      apps::lulesh::LuleshApp app(cfg);
-      body = std::ref(app);
-      try {
-        world.run(body);
-      } catch (const mpisim::MpiError& err) {
-        std::fprintf(stderr, "run terminated: %s\n", err.what());
-      }
-    } else {
-      std::fprintf(stderr, "unknown app '%s' (convolution|lulesh)\n",
-                   app_name.c_str());
-      return 1;
-    }
-  } else {
-    try {
-      world.run(body);
-    } catch (const mpisim::MpiError& err) {
-      // Expected for seeded scenarios: the checker aborts a deadlocked
-      // world, truncation throws on the receiver.
-      std::fprintf(stderr, "run terminated: %s\n", err.what());
-    }
+  try {
+    world.run(body);
+  } catch (const mpisim::MpiError& err) {
+    // Expected for seeded scenarios and fault plans: the checker aborts a
+    // deadlocked world, truncation throws on the receiver, a kill unwinds.
+    std::fprintf(stderr, "run terminated: %s\n", err.what());
   }
 
   check->analyze();
   const auto diags = check->diagnostics();
   if (injector) {
     std::fprintf(stderr, "fault plan: %s\ninjected: %s\n",
-                 opts.faults.describe().c_str(),
-                 injector->summary().c_str());
+                 faults.describe().c_str(), injector->summary().c_str());
   }
 
   std::string text;
@@ -246,7 +168,7 @@ int run(int argc, char** argv) {
   } else {
     text = checker::render_json(diags);
   }
-  if (!emit(text, args.get_string("out"))) return 1;
+  launch::emit(text, args.get_string("out"));
 
   std::size_t errors = 0;
   for (const auto& d : diags) {

@@ -10,9 +10,8 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/spans.hpp"
+#include "launch.hpp"
 #include "profiler/diff.hpp"
-#include "support/cli.hpp"
 
 namespace {
 
@@ -36,13 +35,7 @@ int main(int argc, char** argv) {
       "mpisect-diff", "Compare two profile snapshots, biggest movers first");
   args.add_positional("before", "baseline snapshot CSV");
   args.add_positional("after", "comparison snapshot CSV");
-  args.add_string("self-trace", "",
-                  "wall-clock self-trace (.json = chrome://tracing, else "
-                  "CSV)");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    mpisect::obs::enable_self_trace(st);
-  }
+  if (!mpisect::launch::parse_args(args, argc, argv)) return 1;
   const auto before = load(args.get_string("before").c_str());
   const auto after = load(args.get_string("after").c_str());
   if (!before || !after) return 1;

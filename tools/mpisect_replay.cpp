@@ -30,14 +30,10 @@
 #include <string>
 #include <vector>
 
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
 #include "codec/mpstz.hpp"
 #include "core/sections/runtime.hpp"
-#include "mpisim/session.hpp"
-#include "obs/spans.hpp"
+#include "launch.hpp"
 #include "serve/queries.hpp"
-#include "support/cli.hpp"
 #include "support/digest.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replay.hpp"
@@ -46,22 +42,6 @@ namespace {
 
 using namespace mpisect;
 
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "mpisect-replay: cannot write %s\n",
-                 out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), text.size());
-  return true;
-}
-
 void save_bytes(const std::vector<std::uint8_t>& bytes,
                 const std::string& path) {
   std::ofstream out(path, std::ios::binary);
@@ -69,15 +49,6 @@ void save_bytes(const std::vector<std::uint8_t>& bytes,
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   if (!out) throw trace::TraceError("write error on '" + path + "'");
-}
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -105,7 +76,6 @@ std::vector<double> parse_grid(const std::string& csv) {
 void add_whatif_options(support::ArgParser& args) {
   args.add_string("trace", "trace.mpst", "input trace file (.mpst | .mpstz)");
   args.add_string("model", "recorded", serve::model_choices());
-  args.add_alias("machine", "model");
   args.add_string("faults", "",
                   "fault plan re-costed onto the what-if frame, e.g. "
                   "'drop:p=0.05' ('' = none; kill rules not replayable)");
@@ -141,27 +111,12 @@ serve::ModelParams model_params(const support::ArgParser& args) {
   return p;
 }
 
-/// Shared tail of every subcommand's arg setup: register the unified
-/// --self-trace flag, parse, and arm the span tracer when requested
-/// (MPISECT_SELF_TRACE is the env equivalent).
-bool parse_with_self_trace(support::ArgParser& args, int argc,
-                           const char* const* argv) {
-  args.add_string("self-trace", "",
-                  "wall-clock self-trace of the simulator itself "
-                  "(.json = chrome://tracing, else CSV)");
-  if (!args.parse(argc, argv)) return false;
-  if (const auto& p = args.get_string("self-trace"); !p.empty()) {
-    obs::enable_self_trace(p);
-  }
-  return true;
-}
-
 int cmd_record(int argc, const char* const* argv) {
   support::ArgParser args("mpisect-replay record",
                           "Run an instrumented app and capture a .mpst trace");
   args.add_string("app", "convolution", "convolution | lulesh");
-  args.add_string("model", "nehalem-cluster", preset_list());
-  args.add_alias("machine", "model");
+  args.add_string("model", "nehalem-cluster",
+                  mpisim::MachineModel::choices());
   args.add_int("ranks", 8, "MPI processes (lulesh: perfect cube)");
   args.add_int("threads", 1, "MiniOMP threads per rank (lulesh)");
   args.add_int("steps", 100, "time-steps");
@@ -177,24 +132,13 @@ int cmd_record(int argc, const char* const* argv) {
   args.add_double("telemetry-dt", 0.0,
                   "telemetry sampling interval to stamp into the trace "
                   "header (0 = none); consumed by the timeline subcommand");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const std::string app_name = args.get_string("app");
   const int ranks = static_cast<int>(args.get_int("ranks"));
-  mpisim::WorldOptions opts;
-  auto preset = mpisim::MachineModel::preset(args.get_string("model"));
-  if (!preset) {
-    throw trace::TraceError("unknown model '" + args.get_string("model") +
-                            "' (" + preset_list() + ")");
-  }
-  opts.machine = *preset;
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  opts.progress = mpisim::ProgressModel::parse(args.get_string("progress"));
-  const auto world_ptr = mpisim::Session(ranks, opts)
-                             .world_builder()
-                             .exec_spec(args.get_string("exec"))
-                             .match_spec(args.get_string("match"))
-                             .build();
+  const auto world_ptr = launch::make_world(
+      args, ranks,
+      {.progress = mpisim::ProgressModel::parse(args.get_string("progress"))});
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
 
@@ -204,31 +148,9 @@ int cmd_record(int argc, const char* const* argv) {
       world,
       {.app = provenance, .telemetry_dt = args.get_double("telemetry-dt")});
 
-  if (app_name == "convolution") {
-    apps::conv::ConvolutionConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    if (args.get_int("size") > 0) {
-      cfg.width = static_cast<int>(args.get_int("size")) * 100;
-      cfg.height = static_cast<int>(args.get_int("size")) * 75;
-    }
-    cfg.full_fidelity = false;
-    apps::conv::ConvolutionApp app(cfg);
-    world.run(std::ref(app));
-  } else if (app_name == "lulesh") {
-    apps::lulesh::LuleshConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    cfg.omp_threads = static_cast<int>(args.get_int("threads"));
-    if (args.get_int("size") > 0) {
-      cfg.s = static_cast<int>(args.get_int("size"));
-    }
-    cfg.full_fidelity = false;
-    apps::lulesh::LuleshApp app(cfg);
-    world.run(std::ref(app));
-  } else {
-    std::fprintf(stderr, "mpisect-replay: unknown app '%s'\n",
-                 app_name.c_str());
-    return 1;
-  }
+  world.run(launch::app_main(app_name, static_cast<int>(args.get_int("steps")),
+                             static_cast<int>(args.get_int("size")),
+                             static_cast<int>(args.get_int("threads"))));
 
   // Both output paths stream rank by rank off the recorder; the full
   // TraceFile is never materialized (the difference between "fits in RAM"
@@ -259,14 +181,13 @@ int cmd_replay(int argc, const char* const* argv) {
                           "Replay a trace under a what-if machine model");
   add_whatif_options(args);
   args.add_string("export", "text", "text | csv | json | chrome");
-  args.add_alias("format", "export");
   args.add_flag("json", "shorthand for --export json");
   args.add_string("out", "", "output file ('' = stdout)");
   args.add_flag("verify",
                 "same-model integrity check against the recorded footer");
   args.add_double("tseq", 0.0,
                   "sequential reference time: emit Eq. 6 partial bounds");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   if (args.get_flag("verify")) {
@@ -285,7 +206,8 @@ int cmd_replay(int argc, const char* const* argv) {
   q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
   q.format = support::unified_export(args);
   q.tseq = args.get_double("tseq");
-  return emit(serve::run_replay(tf, q), args.get_string("out")) ? 0 : 1;
+  launch::emit(serve::run_replay(tf, q), args.get_string("out"));
+  return 0;
 }
 
 int cmd_timeline(int argc, const char* const* argv) {
@@ -298,10 +220,9 @@ int cmd_timeline(int argc, const char* const* argv) {
                   "window width in virtual seconds (0 = the trace header's "
                   "telemetry-dt, else makespan/100)");
   args.add_string("export", "csv", "csv | json | chrome");
-  args.add_alias("format", "export");
   args.add_flag("json", "shorthand for --export json");
   args.add_string("out", "", "output file ('' = stdout)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   serve::TimelineQuery q;
@@ -310,7 +231,8 @@ int cmd_timeline(int argc, const char* const* argv) {
   q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
   q.dt = args.get_double("dt");
   q.format = support::unified_export(args);
-  return emit(serve::run_timeline(tf, q), args.get_string("out")) ? 0 : 1;
+  launch::emit(serve::run_timeline(tf, q), args.get_string("out"));
+  return 0;
 }
 
 int cmd_info(int argc, const char* const* argv) {
@@ -320,7 +242,7 @@ int cmd_info(int argc, const char* const* argv) {
   args.add_flag("digest",
                 "print only the stable content digest (identical for .mpst "
                 "and .mpstz encodings of the same trace)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   if (args.get_flag("digest")) {
@@ -338,7 +260,6 @@ int cmd_sweep(int argc, const char* const* argv) {
   args.add_string("trace", "trace.mpst", "input trace file (.mpst | .mpstz)");
   args.add_string("models", "recorded",
                   "comma list: " + serve::model_choices());
-  args.add_alias("machines", "models");
   args.add_string("latency-scales", "1", "comma list of latency multipliers");
   args.add_string("bandwidth-scales", "1",
                   "comma list of bandwidth multipliers");
@@ -355,7 +276,7 @@ int cmd_sweep(int argc, const char* const* argv) {
                "seed for the fault draws (0 = the trace header's seed)");
   args.add_double("tseq", 0.0, "sequential reference time for Eq. 6 bounds");
   args.add_string("out", "", "output CSV ('' = stdout)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("trace"));
   serve::SweepQuery q;
@@ -367,7 +288,8 @@ int cmd_sweep(int argc, const char* const* argv) {
   q.progress = split_csv(args.get_string("progress"));
   q.fault_seed = static_cast<std::uint64_t>(args.get_int("fault-seed"));
   q.tseq = args.get_double("tseq");
-  return emit(serve::run_sweep(tf, q), args.get_string("out")) ? 0 : 1;
+  launch::emit(serve::run_sweep(tf, q), args.get_string("out"));
+  return 0;
 }
 
 int cmd_compress(int argc, const char* const* argv) {
@@ -376,7 +298,7 @@ int cmd_compress(int argc, const char* const* argv) {
   args.add_string("in", "trace.mpst", "input trace (.mpst | .mpstz)");
   args.add_string("out", "trace.mpstz", "output .mpstz container");
   args.add_int("chunk-events", 16384, "events per chunk (seek granularity)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("in"));
   codec::CompressOptions opts;
@@ -400,7 +322,7 @@ int cmd_decompress(int argc, const char* const* argv) {
                           "Expand a .mpstz container back to flat .mpst");
   args.add_string("in", "trace.mpstz", "input .mpstz container");
   args.add_string("out", "trace.mpst", "output .mpst trace");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const trace::TraceFile tf = codec::load_trace(args.get_string("in"));
   tf.save(args.get_string("out"));

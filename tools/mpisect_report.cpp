@@ -12,51 +12,17 @@
 // balance (load-balance triage), chrome (chrome://tracing JSON),
 // snapshot (ProfileSnapshot CSV for mpisect-diff).
 #include <cstdio>
-#include <fstream>
-#include <memory>
 
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
 #include "core/sections/runtime.hpp"
-#include "mpisim/session.hpp"
+#include "launch.hpp"
 #include "profiler/balance.hpp"
 #include "profiler/diff.hpp"
 #include "profiler/report.hpp"
 #include "profiler/section_profiler.hpp"
 #include "profiler/tree.hpp"
-#include "obs/spans.hpp"
-#include "support/cli.hpp"
 #include "support/strings.hpp"
 
-namespace {
-
 using namespace mpisect;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
-
-bool emit(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s (%zu bytes)\n", out_path.c_str(), text.size());
-  return true;
-}
-
-}  // namespace
 
 int run(int argc, char** argv) {
   support::ArgParser args("mpisect-report",
@@ -74,68 +40,28 @@ int run(int argc, char** argv) {
                "per-rank edge; 0 = default)");
   args.add_string("out", "", "output file ('' = stdout)");
   args.add_flag("validate", "enable section validation mode");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    obs::enable_self_trace(st);
-  }
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   const std::string app_name = args.get_string("app");
   const std::string format = support::unified_export(args);
   const int ranks = static_cast<int>(args.get_int("ranks"));
-  const bool keep_instances =
-      format == "tree" || format == "chrome";
+  const bool keep_instances = format == "tree" || format == "chrome";
 
-  mpisim::WorldOptions opts;
-  const auto preset = mpisim::MachineModel::preset(args.get_string("model"));
-  if (!preset) {
-    std::fprintf(stderr, "unknown model '%s' (%s)\n",
-                 args.get_string("model").c_str(), preset_list().c_str());
-    return 1;
-  }
-  opts.machine = *preset;
-  opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  opts.validate_sections = args.get_flag("validate");
-  const auto world_ptr = mpisim::Session(ranks, opts)
-                             .world_builder()
-                             .exec_spec(args.get_string("exec"))
-                             .match_spec(args.get_string("match"))
-                             .build();
+  const auto world_ptr = launch::make_world(
+      args, ranks, {.validate_sections = args.get_flag("validate")});
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
   profiler::SectionProfiler prof(world, {.keep_instances = keep_instances});
-
-  if (app_name == "convolution") {
-    apps::conv::ConvolutionConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    if (args.get_int("size") > 0) {
-      cfg.width = static_cast<int>(args.get_int("size")) * 100;
-      cfg.height = static_cast<int>(args.get_int("size")) * 75;
-    }
-    cfg.full_fidelity = false;
-    apps::conv::ConvolutionApp app(cfg);
-    world.run(std::ref(app));
-  } else if (app_name == "lulesh") {
-    apps::lulesh::LuleshConfig cfg;
-    cfg.steps = static_cast<int>(args.get_int("steps"));
-    cfg.omp_threads = static_cast<int>(args.get_int("threads"));
-    if (args.get_int("size") > 0) {
-      cfg.s = static_cast<int>(args.get_int("size"));
-    }
-    cfg.full_fidelity = false;
-    apps::lulesh::LuleshApp app(cfg);
-    world.run(std::ref(app));
-  } else {
-    std::fprintf(stderr, "unknown app '%s' (convolution|lulesh)\n",
-                 app_name.c_str());
-    return 1;
-  }
+  world.run(launch::app_main(app_name, static_cast<int>(args.get_int("steps")),
+                             static_cast<int>(args.get_int("size")),
+                             static_cast<int>(args.get_int("threads"))));
 
   std::string text;
   if (format == "text") {
     text = profiler::render_text(prof);
     text += "virtual walltime: " + support::fmt_seconds(world.elapsed()) +
             " on " + std::to_string(ranks) + " ranks (" +
-            opts.machine.name + ")\n";
+            world.machine().name + ")\n";
   } else if (format == "csv") {
     text = profiler::render_csv(prof);
   } else if (format == "json") {
@@ -152,7 +78,8 @@ int run(int argc, char** argv) {
     std::fprintf(stderr, "unknown format '%s'\n", format.c_str());
     return 1;
   }
-  return emit(text, args.get_string("out")) ? 0 : 1;
+  launch::emit(text, args.get_string("out"));
+  return 0;
 }
 
 int main(int argc, char** argv) {

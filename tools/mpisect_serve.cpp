@@ -40,10 +40,9 @@
 #include <string>
 #include <vector>
 
-#include "obs/spans.hpp"
+#include "launch.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "support/cli.hpp"
 
 namespace {
 
@@ -85,21 +84,6 @@ std::vector<std::string> read_script(const std::string& path) {
   return lines;
 }
 
-/// Shared tail of every subcommand's arg setup: register the unified
-/// --self-trace flag, parse, and arm the span tracer when requested
-/// (MPISECT_SELF_TRACE is the env equivalent).
-bool parse_with_self_trace(support::ArgParser& args, int argc,
-                           const char* const* argv) {
-  args.add_string("self-trace", "",
-                  "wall-clock self-trace of the simulator itself "
-                  "(.json = chrome://tracing, else CSV)");
-  if (!args.parse(argc, argv)) return false;
-  if (const auto& p = args.get_string("self-trace"); !p.empty()) {
-    obs::enable_self_trace(p);
-  }
-  return true;
-}
-
 int cmd_serve(int argc, const char* const* argv) {
   support::ArgParser args("mpisect-serve serve",
                           "Run the query daemon on localhost TCP");
@@ -112,7 +96,7 @@ int cmd_serve(int argc, const char* const* argv) {
                "shard by trace path");
   args.add_int("cache-entries", 256, "result cache capacity (entries)");
   args.add_int("cache-mb", 64, "result cache capacity (megabytes)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   int workers = static_cast<int>(args.get_int("workers"));
   if (workers <= 0) workers = env_workers();
@@ -153,7 +137,7 @@ int cmd_client(int argc, const char* const* argv) {
   args.add_string("script", "",
                   "request file, one JSON object per line ('' = stdin; '#' "
                   "comments skipped)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
   if (args.get_int("port") <= 0) {
     std::fprintf(stderr, "mpisect-serve: client needs --port\n");
     return 1;
@@ -224,7 +208,7 @@ int cmd_query(int argc, const char* const* argv) {
                   "comments skipped)");
   args.add_int("cache-entries", 256, "result cache capacity (entries)");
   args.add_int("cache-mb", 64, "result cache capacity (megabytes)");
-  if (!parse_with_self_trace(args, argc, argv)) return 1;
+  if (!launch::parse_args(args, argc, argv)) return 1;
 
   serve::Service service(
       static_cast<std::size_t>(args.get_int("cache-entries")),

@@ -6,7 +6,7 @@
 // with a sparkline of each section's recent per-window imbalance and a
 // counter footer (messages, bytes, eager share, MiniOMP charges).
 //
-//   mpisect-top --app lulesh --ranks 8 --threads 4 --steps 50 --machine knl
+//   mpisect-top --app lulesh --ranks 8 --threads 4 --steps 50 --model knl
 //   mpisect-top --app convolution --ranks 16 --steps 200 --dt 0.005
 //   mpisect-top --post telemetry.csv          # re-render a saved series
 //   mpisect-top --app lulesh --no-live --export csv --out telemetry.csv
@@ -29,15 +29,12 @@
 #include <thread>
 #include <vector>
 
-#include "apps/convolution/convolution.hpp"
-#include "apps/lulesh/lulesh.hpp"
 #include "core/sections/runtime.hpp"
 #include "core/speedup/partial_bound.hpp"
+#include "launch.hpp"
 #include "mpisim/faults/injector.hpp"
-#include "mpisim/session.hpp"
 #include "obs/memory.hpp"
 #include "obs/spans.hpp"
-#include "support/cli.hpp"
 #include "support/strings.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sampler.hpp"
@@ -46,15 +43,6 @@
 namespace {
 
 using namespace mpisect;
-
-std::string preset_list() {
-  std::string out;
-  for (const auto& n : mpisim::MachineModel::preset_names()) {
-    if (!out.empty()) out += "|";
-    out += n;
-  }
-  return out;
-}
 
 /// Unicode block sparkline of the series tail (empty series -> spaces).
 std::string sparkline(const std::vector<double>& xs, std::size_t width) {
@@ -220,23 +208,6 @@ std::string self_pane(const mpisim::ExecStats& st, const obs::MemAccount& mem,
   return out;
 }
 
-bool emit(const std::string& text, const std::string& out_path,
-          const char* what) {
-  if (out_path.empty()) {
-    std::fputs(text.c_str(), stdout);
-    return true;
-  }
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "mpisect-top: cannot write %s\n", out_path.c_str());
-    return false;
-  }
-  out << text;
-  std::printf("wrote %s %s (%zu bytes)\n", what, out_path.c_str(),
-              text.size());
-  return true;
-}
-
 int run_post(const std::string& path, const RenderOptions& ro) {
   std::ifstream in(path);
   if (!in) {
@@ -263,7 +234,6 @@ int main(int argc, char** argv) {
   args.add_int("threads", 2, "MiniOMP threads per rank (lulesh)");
   args.add_int("steps", 30, "time-steps");
   args.add_int("size", 0, "problem size (0 = default)");
-  args.add_int("workers", 0, "cooperative workers (0 = MPISECT_WORKERS)");
   support::add_world_flags(args);
   args.add_double("dt", 0.05, "sampling interval, virtual seconds");
   args.add_int("depth", 0,
@@ -280,10 +250,7 @@ int main(int argc, char** argv) {
                   "fault plan spec, e.g. 'drop:p=0.05; stall:rank=0,at=0.01,"
                   "for=0.1' ('' = none)");
   args.add_string("out", "", "output file for --export ('' = stdout)");
-  if (!args.parse(argc, argv)) return 1;
-  if (const auto& st = args.get_string("self-trace"); !st.empty()) {
-    obs::enable_self_trace(st);
-  }
+  if (!launch::parse_args(args, argc, argv)) return 1;
   const bool self_pane_on = args.get_flag("self");
   // busy/idle and wake-to-resume latency cost clock reads the scheduler
   // only pays when asked; virtual time is unaffected either way.
@@ -298,31 +265,14 @@ int main(int argc, char** argv) {
       return run_post(args.get_string("post"), ro);
     }
 
-    const auto preset =
-        mpisim::MachineModel::preset(args.get_string("model"));
-    if (!preset) {
-      std::fprintf(stderr, "mpisect-top: unknown model '%s' (%s)\n",
-                   args.get_string("model").c_str(), preset_list().c_str());
-      return 1;
-    }
-    const int ranks = static_cast<int>(args.get_int("ranks"));
-    mpisim::WorldOptions opts;
-    opts.machine = *preset;
-    opts.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    if (!args.get_string("faults").empty()) {
-      opts.faults =
-          mpisim::faults::FaultPlan::parse(args.get_string("faults"));
-    }
-    // --workers (legacy knob) overrides the workers= key of --exec.
-    mpisim::ExecModel em = mpisim::ExecModel::parse(args.get_string("exec"));
-    if (args.get_int("workers") > 0) {
-      em.workers = static_cast<int>(args.get_int("workers"));
-    }
-    const auto world_ptr = mpisim::Session(ranks, opts)
-                               .world_builder()
-                               .exec(em)
-                               .match_spec(args.get_string("match"))
-                               .build();
+    const mpisim::World::RankMain body = launch::app_main(
+        args.get_string("app"), static_cast<int>(args.get_int("steps")),
+        static_cast<int>(args.get_int("size")),
+        static_cast<int>(args.get_int("threads")));
+    const auto world_ptr = launch::make_world(
+        args, static_cast<int>(args.get_int("ranks")),
+        {.faults =
+             mpisim::faults::FaultPlan::parse(args.get_string("faults"))});
     mpisim::World& world = *world_ptr;
     sections::SectionRuntime::install(world);
     telemetry::SamplerOptions sopts;
@@ -330,38 +280,8 @@ int main(int argc, char** argv) {
     sopts.phase_depth = static_cast<int>(args.get_int("depth"));
     auto sampler = telemetry::TelemetrySampler::install(world, sopts);
     std::shared_ptr<mpisim::faults::FaultInjector> injector;
-    if (!opts.faults.empty()) {
+    if (!world.options().faults.empty()) {
       injector = mpisim::faults::FaultInjector::install(world);
-    }
-
-    std::function<void(mpisim::Ctx&)> body;
-    const std::string app_name = args.get_string("app");
-    std::shared_ptr<apps::conv::ConvolutionApp> conv;
-    std::shared_ptr<apps::lulesh::LuleshApp> lulesh;
-    if (app_name == "convolution") {
-      apps::conv::ConvolutionConfig cfg;
-      cfg.steps = static_cast<int>(args.get_int("steps"));
-      if (args.get_int("size") > 0) {
-        cfg.width = static_cast<int>(args.get_int("size")) * 100;
-        cfg.height = static_cast<int>(args.get_int("size")) * 75;
-      }
-      cfg.full_fidelity = false;
-      conv = std::make_shared<apps::conv::ConvolutionApp>(cfg);
-      body = [conv](mpisim::Ctx& ctx) { (*conv)(ctx); };
-    } else if (app_name == "lulesh") {
-      apps::lulesh::LuleshConfig cfg;
-      cfg.steps = static_cast<int>(args.get_int("steps"));
-      cfg.omp_threads = static_cast<int>(args.get_int("threads"));
-      if (args.get_int("size") > 0) {
-        cfg.s = static_cast<int>(args.get_int("size"));
-      }
-      cfg.full_fidelity = false;
-      lulesh = std::make_shared<apps::lulesh::LuleshApp>(cfg);
-      body = [lulesh](mpisim::Ctx& ctx) { (*lulesh)(ctx); };
-    } else {
-      std::fprintf(stderr, "mpisect-top: unknown app '%s'\n",
-                   app_name.c_str());
-      return 1;
     }
 
     std::atomic<bool> done{false};
@@ -399,8 +319,8 @@ int main(int argc, char** argv) {
     const telemetry::Timeline tl = telemetry::build_timeline(*sampler);
 
     support::Provenance prov = support::build_provenance();
-    prov.machine = opts.machine.name;
-    prov.seed = std::to_string(opts.seed);
+    prov.machine = world.machine().name;
+    prov.seed = std::to_string(world.options().seed);
 
     const std::string fmt_name = support::unified_export(args);
     if (!fmt_name.empty()) {
@@ -421,7 +341,8 @@ int main(int argc, char** argv) {
                      fmt_name.c_str());
         return 1;
       }
-      return emit(text, args.get_string("out"), fmt_name.c_str()) ? 0 : 1;
+      launch::emit(text, args.get_string("out"), fmt_name);
+      return 0;
     }
 
     ro.status = "[done]";
