@@ -1,40 +1,115 @@
 #include "core/sections/labels.hpp"
 
+#include <bit>
+#include <stdexcept>
+
 #include "support/rng.hpp"
 
 namespace mpisect::sections {
 
+namespace {
+
+constexpr std::size_t kInitialSlots = 64;
+
+}  // namespace
+
+LabelRegistry::Index::Index(std::size_t n)
+    : mask(n - 1), slots(std::make_unique<std::atomic<const Entry*>[]>(n)) {}
+
+LabelRegistry::LabelRegistry() {
+  tables_.push_back(std::make_unique<const Index>(kInitialSlots));
+  index_.store(tables_.back().get(), std::memory_order_release);
+}
+
+LabelRegistry::~LabelRegistry() {
+  for (auto& seg : segments_) delete[] seg.load(std::memory_order_relaxed);
+}
+
+void LabelRegistry::insert(const Index& index, const Entry* e) {
+  std::size_t i = e->hash & index.mask;
+  while (index.slots[i].load(std::memory_order_relaxed) != nullptr) {
+    i = (i + 1) & index.mask;
+  }
+  index.slots[i].store(e, std::memory_order_release);
+}
+
+const LabelRegistry::Entry* LabelRegistry::find(std::string_view label,
+                                                std::uint64_t hash) const {
+  const Index* index = index_.load(std::memory_order_acquire);
+  for (std::size_t i = hash & index->mask;; i = (i + 1) & index->mask) {
+    const Entry* e = index->slots[i].load(std::memory_order_acquire);
+    if (e == nullptr) return nullptr;
+    if (e->hash == hash && e->name == label) return e;
+  }
+}
+
+LabelRegistry::Slot LabelRegistry::locate(LabelId id) noexcept {
+  const auto q = static_cast<std::size_t>(id) / kFirstSegment + 1;
+  const auto s = static_cast<std::size_t>(std::bit_width(q)) - 1;
+  return {s, id - kFirstSegment * ((std::size_t{1} << s) - 1)};
+}
+
+const LabelRegistry::Entry& LabelRegistry::entry(LabelId id) const {
+  const auto [s, offset] = locate(id);
+  return segments_[s].load(std::memory_order_acquire)[offset];
+}
+
 LabelId LabelRegistry::intern(std::string_view label) {
-  const std::lock_guard lock(mu_);
-  const std::string key(label);
-  auto it = ids_.find(key);
-  if (it != ids_.end()) return it->second;
-  const auto id = static_cast<LabelId>(names_.size());
-  names_.push_back(key);
-  ids_.emplace(key, id);
+  const std::uint64_t hash = label_hash(label);
+  if (const Entry* e = find(label, hash)) return e->id;
+
+  const std::lock_guard lock(write_mu_);
+  // Another writer may have published the label since the lock-free probe.
+  if (const Entry* e = find(label, hash)) return e->id;
+  const LabelId id = size_.load(std::memory_order_relaxed);
+  const auto [s, offset] = locate(id);
+  if (s >= kSegments) throw std::length_error("label registry is full");
+  Entry* segment = segments_[s].load(std::memory_order_relaxed);
+  if (segment == nullptr) {
+    segment = new Entry[kFirstSegment << s];
+    segments_[s].store(segment, std::memory_order_release);
+  }
+  Entry& e = segment[offset];
+  e.name.assign(label);
+  e.hash = hash;
+  e.id = id;
+  // Publish the id count before the index slot: whoever finds the label
+  // by content must also see name(id) resolve.
+  size_.store(id + 1, std::memory_order_release);
+
+  const Index* index = index_.load(std::memory_order_relaxed);
+  if (2 * (static_cast<std::size_t>(id) + 1) > index->mask + 1) {
+    auto grown = std::make_unique<const Index>(2 * (index->mask + 1));
+    for (LabelId i = 0; i <= id; ++i) insert(*grown, &entry(i));
+    tables_.push_back(std::move(grown));
+    index_.store(tables_.back().get(), std::memory_order_release);
+  } else {
+    insert(*index, &e);
+  }
   return id;
 }
 
-std::string LabelRegistry::name(LabelId id) const {
-  const std::lock_guard lock(mu_);
-  if (id >= names_.size()) return "?";
-  return names_[id];
+const std::string& LabelRegistry::name(LabelId id) const {
+  static const std::string kUnknown = "?";
+  if (id >= size_.load(std::memory_order_acquire)) return kUnknown;
+  return entry(id).name;
 }
 
 LabelId LabelRegistry::lookup(std::string_view label) const {
-  const std::lock_guard lock(mu_);
-  const auto it = ids_.find(std::string(label));
-  return it == ids_.end() ? kInvalidLabel : it->second;
+  const Entry* e = find(label, label_hash(label));
+  return e == nullptr ? kInvalidLabel : e->id;
 }
 
 std::size_t LabelRegistry::size() const {
-  const std::lock_guard lock(mu_);
-  return names_.size();
+  return size_.load(std::memory_order_acquire);
 }
 
 std::vector<std::string> LabelRegistry::all() const {
-  const std::lock_guard lock(mu_);
-  return names_;
+  const std::uint32_t n = size_.load(std::memory_order_acquire);
+  std::vector<std::string> out;
+  out.reserve(n);
+  for (LabelId i = 0; i < n; ++i) out.push_back(entry(i).name);
+  return out;
 }
 
 std::uint64_t label_hash(std::string_view label) noexcept {

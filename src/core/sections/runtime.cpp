@@ -35,15 +35,15 @@ SectionRuntime::SectionRuntime(int world_size)
     : ranks_(static_cast<std::size_t>(world_size)) {}
 
 std::shared_ptr<SectionRuntime> SectionRuntime::install(mpisim::World& world) {
-  if (auto existing = find(world)) return existing;
+  if (auto existing = world.find_extension<SectionRuntime>()) return existing;
   auto rt = std::make_shared<SectionRuntime>(world.size());
   rt->validate_.store(world.options().validate_sections);
   world.attach_extension(rt);
   return rt;
 }
 
-std::shared_ptr<SectionRuntime> SectionRuntime::find(mpisim::World& world) {
-  return world.find_extension<SectionRuntime>();
+SectionRuntime* SectionRuntime::find(mpisim::World& world) noexcept {
+  return world.extension<SectionRuntime>();
 }
 
 SectionRuntime::RankState& SectionRuntime::state_of(const mpisim::Ctx& ctx) {
@@ -53,6 +53,20 @@ SectionRuntime::RankState& SectionRuntime::state_of(const mpisim::Ctx& ctx) {
 const SectionRuntime::RankState& SectionRuntime::state_of(
     const mpisim::Ctx& ctx) const {
   return ranks_[static_cast<std::size_t>(ctx.rank())];
+}
+
+const SectionRuntime::CommState* SectionRuntime::find_comm(
+    const RankState& st, int context) {
+  for (std::size_t i = 0; i < st.live; ++i) {
+    if (st.comms[i].context == context) return &st.comms[i];
+  }
+  return nullptr;
+}
+
+SectionRuntime::CommState* SectionRuntime::find_comm(RankState& st,
+                                                     int context) {
+  return const_cast<CommState*>(
+      find_comm(static_cast<const RankState&>(st), context));
 }
 
 int SectionRuntime::validate(mpisim::Ctx& ctx, mpisim::Comm& comm,
@@ -93,11 +107,20 @@ int SectionRuntime::enter(mpisim::Ctx& ctx, mpisim::Comm& comm,
   auto& st = state_of(ctx);
   ++st.counters.enters;
   const LabelId id = labels_.intern(label);
-  auto& stack = st.stacks[comm.context_id()];
+  CommState* cs = find_comm(st, comm.context_id());
+  if (cs == nullptr) {
+    if (st.live == st.comms.size()) st.comms.emplace_back();
+    cs = &st.comms[st.live++];
+    cs->context = comm.context_id();
+    cs->stack.clear();
+    cs->occurrences.clear();
+  }
+  auto& stack = cs->stack;
+  if (id >= cs->occurrences.size()) cs->occurrences.resize(id + 1, 0);
 
   ActiveSection section;
   section.label = id;
-  section.instance = st.occurrences[{comm.context_id(), id}]++;
+  section.instance = cs->occurrences[id]++;
   section.t_in = ctx.now();
   section.depth = static_cast<int>(stack.size());
   stack.push_back(section);
@@ -125,12 +148,12 @@ int SectionRuntime::exit(mpisim::Ctx& ctx, mpisim::Comm& comm,
 
   auto& st = state_of(ctx);
   ++st.counters.exits;
-  const auto it = st.stacks.find(comm.context_id());
-  if (it == st.stacks.end() || it->second.empty()) {
+  CommState* cs = find_comm(st, comm.context_id());
+  if (cs == nullptr || cs->stack.empty()) {
     ++st.counters.errors;
     return fire_section_error(ctx, comm, label, kSectionErrEmptyStack);
   }
-  auto& stack = it->second;
+  auto& stack = cs->stack;
   const LabelId id = labels_.intern(label);
   if (stack.back().label != id) {
     ++st.counters.errors;
@@ -156,17 +179,15 @@ int SectionRuntime::exit(mpisim::Ctx& ctx, mpisim::Comm& comm,
 
 std::vector<ActiveSection> SectionRuntime::stack_snapshot(
     const mpisim::Ctx& ctx, const mpisim::Comm& comm) const {
-  const auto& st = state_of(ctx);
-  const auto it = st.stacks.find(comm.context_id());
-  if (it == st.stacks.end()) return {};
-  return it->second;
+  const CommState* cs = find_comm(state_of(ctx), comm.context_id());
+  if (cs == nullptr) return {};
+  return cs->stack;
 }
 
 int SectionRuntime::open_depth(const mpisim::Ctx& ctx,
                                const mpisim::Comm& comm) const {
-  const auto& st = state_of(ctx);
-  const auto it = st.stacks.find(comm.context_id());
-  return it == st.stacks.end() ? 0 : static_cast<int>(it->second.size());
+  const CommState* cs = find_comm(state_of(ctx), comm.context_id());
+  return cs == nullptr ? 0 : static_cast<int>(cs->stack.size());
 }
 
 std::string SectionRuntime::stack_string(const mpisim::Ctx& ctx,
@@ -190,7 +211,16 @@ SectionCounters SectionRuntime::counters() const {
   return total;
 }
 
+std::size_t SectionRuntime::tracked_comms(int world_rank) const {
+  return ranks_[static_cast<std::size_t>(world_rank)].live;
+}
+
 void SectionRuntime::on_rank_init(mpisim::Ctx& ctx) {
+  // A run starts: the previous run's communicators are all dead (each run
+  // has a fresh world communicator), so their stacks and occurrence
+  // counters go. Numbering per (comm, label) is unchanged, since a new
+  // communicator's counters start at 0 either way.
+  state_of(ctx).live = 0;
   mpisim::Comm world = ctx.world_comm();
   enter(ctx, world, kMainSectionLabel);
 }
@@ -200,17 +230,15 @@ void SectionRuntime::on_rank_finalize(mpisim::Ctx& ctx) {
   // Force-unwind any sections the application leaked (with a warning), so
   // MPI_MAIN always closes and tools see balanced events.
   auto& st = state_of(ctx);
-  auto it = st.stacks.find(world.context_id());
-  if (it != st.stacks.end()) {
-    while (it->second.size() > 1) {
-      const std::string leaked = labels_.name(it->second.back().label);
-      MPISECT_LOG_WARN("rank %d leaked open section '%s' at finalize",
-                       ctx.rank(), leaked.c_str());
-      fire_section_error(ctx, world, leaked.c_str(), kSectionErrLeaked);
-      exit(ctx, world, leaked.c_str());
-      it = st.stacks.find(world.context_id());
-      if (it == st.stacks.end()) return;
-    }
+  // Re-found every pass: tool callbacks may open state for other comms.
+  for (const CommState* cs = find_comm(st, world.context_id());
+       cs != nullptr && cs->stack.size() > 1;
+       cs = find_comm(st, world.context_id())) {
+    const std::string& leaked = labels_.name(cs->stack.back().label);
+    MPISECT_LOG_WARN("rank %d leaked open section '%s' at finalize",
+                     ctx.rank(), leaked.c_str());
+    fire_section_error(ctx, world, leaked.c_str(), kSectionErrLeaked);
+    exit(ctx, world, leaked.c_str());
   }
   exit(ctx, world, kMainSectionLabel);
 }

@@ -30,7 +30,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,8 +80,9 @@ class SectionRuntime final : public mpisim::Extension {
   /// Create and attach a SectionRuntime to the world (before run()).
   /// Returns the existing instance if one is already attached.
   static std::shared_ptr<SectionRuntime> install(mpisim::World& world);
-  /// The world's SectionRuntime, or nullptr.
-  static std::shared_ptr<SectionRuntime> find(mpisim::World& world);
+  /// The world's SectionRuntime, or nullptr. Owned by the world; the
+  /// lookup copies no shared_ptr, so every rank can call it per section.
+  static SectionRuntime* find(mpisim::World& world) noexcept;
 
   /// Non-blocking collective section entry (MPIX_Section_enter).
   int enter(mpisim::Ctx& ctx, mpisim::Comm& comm, const char* label);
@@ -112,6 +112,9 @@ class SectionRuntime final : public mpisim::Extension {
 
   /// Aggregate counters over all ranks (sample after run()).
   [[nodiscard]] SectionCounters counters() const;
+  /// Communicators `world_rank` holds section state for. Only the current
+  /// (or last) run's communicators count: a run drops the previous run's.
+  [[nodiscard]] std::size_t tracked_comms(int world_rank) const;
 
   // Extension interface: MPI_MAIN bracketing.
   void on_rank_init(mpisim::Ctx& ctx) override;
@@ -120,15 +123,28 @@ class SectionRuntime final : public mpisim::Extension {
   explicit SectionRuntime(int world_size);
 
  private:
-  struct RankState {
-    /// context id -> open-section stack.
-    std::map<int, std::vector<ActiveSection>> stacks;
-    /// (context id, label) -> occurrence counter.
-    std::map<std::pair<int, LabelId>, std::uint64_t> occurrences;
+  /// One rank's sections on one communicator.
+  struct CommState {
+    int context = -1;
+    std::vector<ActiveSection> stack;  ///< open sections, innermost last
+    /// Next ActiveSection::instance of each label, indexed by LabelId.
+    std::vector<std::uint64_t> occurrences;
+  };
+  /// Touched only by the rank itself. comms[0, live) are the current
+  /// run's communicators, found by a linear scan (a rank uses a handful);
+  /// on_rank_init sets live = 0, and the slots past it keep their
+  /// capacity for reuse, so repeated runs neither grow nor reallocate.
+  /// Cache-line aligned: neighbouring ranks run on different workers.
+  struct alignas(64) RankState {
+    std::vector<CommState> comms;
+    std::size_t live = 0;
     SectionCounters counters;
   };
   RankState& state_of(const mpisim::Ctx& ctx);
   const RankState& state_of(const mpisim::Ctx& ctx) const;
+  /// The rank's state for communicator `context`, or nullptr.
+  static const CommState* find_comm(const RankState& st, int context);
+  static CommState* find_comm(RankState& st, int context);
   int validate(mpisim::Ctx& ctx, mpisim::Comm& comm, LabelId label, int depth,
                bool entering);
 

@@ -154,7 +154,12 @@ void World::run(const RankMain& rank_main) {
         const std::lock_guard lock(err_mu);
         if (!first_error) first_error = std::current_exception();
       }
-      MPISECT_LOG_ERROR("rank %d raised; aborting world", r);
+      // An Aborted unwind follows an abort some other cause raised; only
+      // that cause is logged, so stderr does not list ranks in wall-clock
+      // order of unwinding.
+      if (e.code() != Err::Aborted) {
+        MPISECT_LOG_ERROR("rank %d raised; aborting world", r);
+      }
       abort();
     } catch (...) {
       {

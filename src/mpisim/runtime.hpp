@@ -177,6 +177,16 @@ class World {
     }
     return nullptr;
   }
+  /// find_extension() without the shared_ptr copy, for per-call lookups
+  /// on rank threads: no shared reference count is touched. The world
+  /// owns the extension, so the pointer lives as long as the world.
+  template <typename T>
+  [[nodiscard]] T* extension() const noexcept {
+    for (const auto& e : extensions_) {
+      if (auto* p = dynamic_cast<T*>(e.get())) return p;
+    }
+    return nullptr;
+  }
 
   using RankMain = std::function<void(Ctx&)>;
   /// Run the SPMD main on all ranks and block until every rank finishes.

@@ -65,24 +65,23 @@ Server::~Server() {
 }
 
 int Server::listen(int port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) sys_fail("socket");
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) sys_fail("socket");
+  listen_fd_.store(fd, std::memory_order_release);
   const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
-      0) {
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
     sys_fail("bind");
   }
-  if (::listen(listen_fd_, 16) < 0) sys_fail("listen");
+  if (::listen(fd, 16) < 0) sys_fail("listen");
 
   socklen_t len = sizeof addr;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) <
-      0) {
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
     sys_fail("getsockname");
   }
 
@@ -94,7 +93,8 @@ int Server::listen(int port) {
 
 void Server::run() {
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd =
+        ::accept(listen_fd_.load(std::memory_order_acquire), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listen socket closed by stop()
@@ -111,10 +111,11 @@ void Server::run() {
 
 void Server::stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  // Atomic: run() is reading the descriptor from another thread.
+  if (const int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
+      fd >= 0) {
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
   }
   {
     std::lock_guard<std::mutex> lock(conns_mu_);

@@ -67,7 +67,7 @@ class Server {
   std::vector<std::thread> pool_;
   std::atomic<bool> stopping_{false};
 
-  int listen_fd_ = -1;
+  std::atomic<int> listen_fd_{-1};
   std::mutex conns_mu_;
   std::vector<int> conn_fds_;
   std::vector<std::thread> conn_threads_;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/sections/api.hpp"
@@ -226,6 +227,48 @@ TEST(SectionStacks, SnapshotShowsNesting) {
   });
 }
 
+TEST(SectionStacks, RepeatedRunsKeepNumberingAndDropDeadComms) {
+  // One world, five runs, a split communicator per run. Each run's
+  // communicators are new, so every run numbers (comm, label) instances
+  // from 0 again, and the runtime keeps state only for the current run's
+  // world and split communicators.
+  constexpr int kRanks = 4;
+  World world(kRanks, ideal_options());
+  auto rt = SectionRuntime::install(world);
+  std::vector<std::vector<std::uint64_t>> first_run;
+  for (int run = 0; run < 5; ++run) {
+    std::vector<std::vector<std::uint64_t>> instances(kRanks);
+    std::vector<std::size_t> tracked(kRanks);
+    world.run([&](Ctx& ctx) {
+      Comm comm = ctx.world_comm();
+      Comm half = comm.split(ctx.rank() % 2, ctx.rank());
+      auto& mine = instances[static_cast<std::size_t>(ctx.rank())];
+      for (int i = 0; i < 3; ++i) {
+        for (Comm* c : {&comm, &half}) {
+          ASSERT_EQ(MPIX_Section_enter(*c, "STEP"), kSectionOk);
+          mine.push_back(rt->stack_snapshot(ctx, *c).back().instance);
+          ASSERT_EQ(MPIX_Section_exit(*c, "STEP"), kSectionOk);
+        }
+      }
+      tracked[static_cast<std::size_t>(ctx.rank())] =
+          rt->tracked_comms(ctx.rank());
+    });
+    for (int r = 0; r < kRanks; ++r) {
+      EXPECT_EQ(tracked[static_cast<std::size_t>(r)], 2u)
+          << "run " << run << " rank " << r;
+      EXPECT_EQ(rt->tracked_comms(r), 2u);
+    }
+    if (run == 0) {
+      first_run = instances;
+      EXPECT_EQ(first_run[0],
+                (std::vector<std::uint64_t>{0, 0, 1, 1, 2, 2}));
+    } else {
+      EXPECT_EQ(instances, first_run) << "run " << run;
+    }
+  }
+  EXPECT_EQ(rt->counters().errors, 0u);
+}
+
 TEST(SectionValidation, AgreementPasses) {
   WorldOptions opts = ideal_options();
   opts.validate_sections = true;
@@ -304,6 +347,50 @@ TEST(SectionLabels, InterningStableAndShared) {
   EXPECT_EQ(reg.name(12345), "?");
   EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg.all().size(), 2u);
+}
+
+TEST(SectionLabels, ConcurrentInterningAgreesAndStaysDense) {
+  // 256 ranks on 4 cooperative workers intern overlapping new labels and
+  // read names back while other workers are still adding entries.
+  constexpr int kRanks = 256;
+  constexpr int kLabels = 96;
+  WorldOptions opts = ideal_options();
+  opts.exec = mpisim::ExecBackend::Cooperative;
+  opts.workers = 4;
+  World world(kRanks, opts);
+  LabelRegistry reg;
+  std::vector<std::vector<LabelId>> seen(
+      kRanks, std::vector<LabelId>(kLabels, kInvalidLabel));
+  std::atomic<int> bad_names{0};
+  world.run([&](Ctx& ctx) {
+    Comm comm = ctx.world_comm();
+    auto& mine = seen[static_cast<std::size_t>(ctx.rank())];
+    for (int i = 0; i < kLabels; ++i) {
+      // Each rank starts at its own offset, so ranks race to be first.
+      const int k = (ctx.rank() + i) % kLabels;
+      const std::string label = "label-" + std::to_string(k);
+      const LabelId id = reg.intern(label);
+      mine[static_cast<std::size_t>(k)] = id;
+      if (reg.name(id) != label) ++bad_names;
+      if (i % 16 == 15) comm.barrier();
+    }
+  });
+  EXPECT_EQ(bad_names.load(), 0);
+  ASSERT_EQ(reg.size(), static_cast<std::size_t>(kLabels));
+  const auto names = reg.all();
+  std::vector<bool> used(kLabels, false);
+  for (int k = 0; k < kLabels; ++k) {
+    const LabelId id = seen[0][static_cast<std::size_t>(k)];
+    ASSERT_LT(id, static_cast<LabelId>(kLabels));  // dense ids
+    EXPECT_FALSE(used[id]);
+    used[id] = true;
+    EXPECT_EQ(names[id], "label-" + std::to_string(k));
+    EXPECT_EQ(reg.lookup(names[id]), id);
+    for (int r = 1; r < kRanks; ++r) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(r)][static_cast<std::size_t>(k)],
+                id);
+    }
+  }
 }
 
 TEST(SectionLabels, HashDiffersByContent) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -174,6 +175,33 @@ TEST(TelemetrySampler, NestedSectionsUseExclusiveAttribution) {
   for (const auto& st : tl.section_totals) totals[st.label] = st.total;
   EXPECT_DOUBLE_EQ(totals["outer"], 1.5);  // inner's 2.0 not double-counted
   EXPECT_DOUBLE_EQ(totals["inner"], 2.0);
+}
+
+TEST(TelemetrySampler, ReusedLabelBufferBooksEachLabelByContent) {
+  World world(1, ideal_options());
+  sections::SectionRuntime::install(world);
+  SamplerOptions sopts;
+  sopts.dt = 100.0;  // one window
+  auto sampler = TelemetrySampler::install(world, sopts);
+  world.run([](Ctx& ctx) {
+    Comm comm = ctx.world_comm();
+    // One buffer, two labels: the sampler must key by content, not by
+    // the pointer it was handed.
+    char buf[8];
+    std::strcpy(buf, "A");
+    MPIX_Section_enter(comm, buf);
+    ctx.compute_exact(2.0);
+    MPIX_Section_exit(comm, buf);
+    std::strcpy(buf, "B");
+    MPIX_Section_enter(comm, buf);
+    ctx.compute_exact(3.0);
+    MPIX_Section_exit(comm, buf);
+  });
+  const auto tl = telemetry::build_timeline(*sampler);
+  std::map<std::string, double> totals;
+  for (const auto& st : tl.section_totals) totals[st.label] = st.total;
+  EXPECT_DOUBLE_EQ(totals["A"], 2.0);
+  EXPECT_DOUBLE_EQ(totals["B"], 3.0);
 }
 
 // ---------------------------------------------------------------------------
