@@ -16,11 +16,14 @@
 //   * init: Session/WorldBuilder construction time, 1k -> 65k ranks.
 //     World construction is lazy, O(1) per unstarted rank; the curve
 //     proves it.
-//   * matching: hashed vs legacy engine on the adversarial funnel (rank 0
-//     posts p-1 descending-source receives, every other rank sends one
-//     message), where the legacy scan is O(p^2). Virtual times must be
-//     bit-identical between engines; at p >= 16384 the hashed engine must
-//     be >= 2x faster (enforced unless --no-enforce).
+//   * matching: the funnel (rank 0 posts p-1 explicit-source receives,
+//     every other rank sends one message) timed with the receives posted
+//     in descending (adversarial) and ascending (friendly) source order.
+//     order_penalty = adversarial / friendly wall time: a linear scan pays
+//     Theta(p^2) on the first order and O(p) on the second, the hashed
+//     engine O(p) on both. Virtual times must repeat bit for bit across
+//     repetitions; at p >= 16384 the penalty must stay below
+//     kFunnelMaxOrderPenalty (enforced unless --no-enforce).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -123,13 +126,18 @@ double now_wall_s() {
       .count();
 }
 
-/// Adversarial matching funnel: rank 0 posts p-1 explicit-source receives
-/// in DESCENDING source order, then every other rank sends one eager
-/// message. Deposits arrive in ascending source order (cooperative
-/// scheduling), so the legacy engine scans past every not-yet-matched
-/// posted receive on each deposit — Theta(p^2) compares — while the hashed
-/// engine finds the (src,tag) lane head in O(1).
-void funnel_body(mpisim::Ctx& ctx) {
+/// Order-penalty ceiling at p >= 16384. On a 4-core box a linear-scan
+/// matcher measured 5.5-6.9 here, the hashed engine 0.93-1.16.
+constexpr double kFunnelMaxOrderPenalty = 1.5;
+
+/// Matching funnel: rank 0 posts p-1 explicit-source receives, then every
+/// other rank sends it one eager message. Deposits arrive in ascending
+/// source order (cooperative scheduling). With the receives posted in
+/// DESCENDING source order a linear scan passes every not-yet-matched
+/// receive on each deposit — Theta(p^2) compares; posted ASCENDING, the
+/// first receive matches at once. The hashed engine finds the (src,tag)
+/// lane head in O(1) either way.
+void funnel_body(mpisim::Ctx& ctx, bool descending) {
   mpisim::Comm world = ctx.world_comm();
   const int p = world.size();
   static const char payload[8] = {};
@@ -137,7 +145,8 @@ void funnel_body(mpisim::Ctx& ctx) {
     std::vector<char> bufs(static_cast<std::size_t>(p - 1) * 8);
     std::vector<mpisim::Comm::Request> reqs;
     reqs.reserve(static_cast<std::size_t>(p - 1));
-    for (int src = p - 1; src >= 1; --src) {
+    for (int i = 1; i < p; ++i) {
+      const int src = descending ? p - i : i;
       reqs.push_back(
           world.irecv(&bufs[static_cast<std::size_t>(src - 1) * 8], 8, src,
                       /*tag=*/7));
@@ -148,24 +157,49 @@ void funnel_body(mpisim::Ctx& ctx) {
   }
 }
 
-struct FunnelResult {
-  double wall_s = 0.0;
-  std::vector<double> final_times;
-};
-
-FunnelResult funnel_once(int p, const std::string& match) {
+/// Wall seconds of one funnel run; `final_times` receives the virtual
+/// finish time of every rank.
+double funnel_once(int p, bool descending, std::vector<double>& final_times) {
   const auto world_ptr = mpisim::Session(p)
                              .world_builder()
                              .machine(mpisim::MachineModel::nehalem_cluster())
                              .seed(0xC0FFEE)
-                             .match_spec(match)
                              .build();
   mpisim::World& world = *world_ptr;
-  FunnelResult r;
   const double t0 = now_wall_s();
-  world.run(funnel_body);
-  r.wall_s = now_wall_s() - t0;
-  r.final_times = world.final_times();
+  world.run([descending](mpisim::Ctx& ctx) { funnel_body(ctx, descending); });
+  const double wall_s = now_wall_s() - t0;
+  final_times = world.final_times();
+  return wall_s;
+}
+
+struct FunnelResult {
+  double adversarial_s = 0.0;  ///< best of reps, descending posts
+  double friendly_s = 0.0;     ///< best of reps, ascending posts
+  bool repeatable = true;      ///< virtual times identical across reps
+  [[nodiscard]] double order_penalty() const {
+    return friendly_s > 0.0 ? adversarial_s / friendly_s : 0.0;
+  }
+};
+
+/// Both post orders, interleaved `reps` times; best wall time of each.
+FunnelResult funnel(int p, int reps) {
+  FunnelResult r;
+  std::vector<double> first[2];
+  for (int rep = 0; rep < reps; ++rep) {
+    for (const bool descending : {true, false}) {
+      std::vector<double> finals;
+      const double s = funnel_once(p, descending, finals);
+      double& best = descending ? r.adversarial_s : r.friendly_s;
+      if (rep == 0 || s < best) best = s;
+      std::vector<double>& ref = first[descending];
+      if (rep == 0) {
+        ref = std::move(finals);
+      } else if (finals != ref) {
+        r.repeatable = false;
+      }
+    }
+  }
   return r;
 }
 
@@ -201,12 +235,12 @@ int main(int argc, char** argv) {
   args.add_string("init-ranks", "1024,4096,16384,65536",
                   "comma list of rank counts for the Session-init curve");
   args.add_int("funnel-ranks", 16384,
-               "rank count for the hashed-vs-legacy matching funnel "
+               "rank count for the matching-funnel order penalty "
                "(0 = skip)");
   args.add_flag("quick", "reduced run for smoke testing");
   args.add_flag("no-enforce",
-                "report the overhead bar without failing on it "
-                "(bit-identity always enforced)");
+                "report the overhead bar and the funnel ceiling without "
+                "failing on them (bit-identity always enforced)");
   args.add_string("json_out", "", "write BENCH_obs.json here");
   args.add_string("scale_out", "", "write BENCH_scale.json here");
   if (!args.parse(argc, argv)) return 1;
@@ -330,49 +364,46 @@ int main(int argc, char** argv) {
                     {"init_lazy_s", lazy_s}});
   }
 
-  // ---- matching engines: hashed vs legacy on the O(p^2) funnel -----------
+  // ---- matching: funnel order penalty ------------------------------------
   bool match_ok = true;
+  double penalty = 0.0;
   if (funnel_ranks > 1) {
-    const FunnelResult hashed = funnel_once(funnel_ranks, "hashed");
-    const FunnelResult legacy = funnel_once(funnel_ranks, "legacy");
-    if (hashed.final_times != legacy.final_times) {
+    const FunnelResult f = funnel(funnel_ranks, std::max(reps, 3));
+    if (!f.repeatable) {
       std::fprintf(stderr,
-                   "FAIL: hashed and legacy matching disagree on virtual "
-                   "time at p=%d\n",
+                   "FAIL: matching funnel virtual times differ between "
+                   "repetitions at p=%d\n",
                    funnel_ranks);
       return 1;
     }
-    const double speedup =
-        hashed.wall_s > 0.0 ? legacy.wall_s / hashed.wall_s : 0.0;
-    const double hashed_rps =
-        hashed.wall_s > 0.0 ? funnel_ranks / hashed.wall_s : 0.0;
-    const double legacy_rps =
-        legacy.wall_s > 0.0 ? funnel_ranks / legacy.wall_s : 0.0;
-    std::printf("\nmatching funnel (p=%d, %d descending-source receives):\n",
+    penalty = f.order_penalty();
+    std::printf("\nmatching funnel (p=%d, %d explicit-source receives):\n",
                 funnel_ranks, funnel_ranks - 1);
-    std::printf("  hashed: %9.3f ms (%12.0f ranks/s)\n", hashed.wall_s * 1e3,
-                hashed_rps);
-    std::printf("  legacy: %9.3f ms (%12.0f ranks/s)\n", legacy.wall_s * 1e3,
-                legacy_rps);
-    match_ok = funnel_ranks < 16384 || speedup >= 2.0;
-    std::printf("  hashed speedup: %.1fx%s  %s\n", speedup,
-                funnel_ranks >= 16384 ? " (target >= 2x)" : "",
-                match_ok ? "PASS" : "BELOW TARGET");
-    std::printf("  virtual times bit-identical across engines\n");
+    std::printf("  adversarial (descending posts): %9.3f ms\n",
+                f.adversarial_s * 1e3);
+    std::printf("  friendly (ascending posts):     %9.3f ms\n",
+                f.friendly_s * 1e3);
+    match_ok = funnel_ranks < 16384 || penalty <= kFunnelMaxOrderPenalty;
+    std::printf("  order penalty: %.2fx", penalty);
+    if (funnel_ranks >= 16384) {
+      std::printf(" (ceiling %.1fx)  %s", kFunnelMaxOrderPenalty,
+                  match_ok ? "PASS" : "ABOVE CEILING");
+    }
+    std::printf("\n  virtual times repeat bit for bit across repetitions\n");
     scale_json.add("obs/funnel/p:" + std::to_string(funnel_ranks),
-                   hashed.wall_s,
+                   f.adversarial_s,
                    {{"ranks", static_cast<double>(funnel_ranks)},
-                    {"legacy_time_s", legacy.wall_s},
-                    {"hashed_ranks_per_s", hashed_rps},
-                    {"legacy_ranks_per_s", legacy_rps},
-                    {"hashed_speedup", speedup}});
+                    {"adversarial_s", f.adversarial_s},
+                    {"friendly_s", f.friendly_s},
+                    {"order_penalty", penalty}});
   }
   if (!scale_json.write(args.get_string("scale_out"))) return 1;
 
   if (!match_ok && !args.get_flag("no-enforce")) {
     std::fprintf(stderr,
-                 "FAIL: hashed matching below the 2x funnel bar at p=%d\n",
-                 funnel_ranks);
+                 "FAIL: funnel order penalty %.2fx above the %.1fx ceiling "
+                 "at p=%d\n",
+                 penalty, kFunnelMaxOrderPenalty, funnel_ranks);
     return 1;
   }
   if (!bar_ok && !args.get_flag("no-enforce")) {

@@ -20,8 +20,7 @@ using namespace mpisect;
 mpisim::WorldOptions options(mpisim::ExecBackend exec, int workers) {
   mpisim::WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
-  opts.exec = exec;
-  opts.workers = workers;
+  opts.exec = {.backend = exec, .workers = workers};
   return opts;
 }
 

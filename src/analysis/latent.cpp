@@ -13,11 +13,6 @@ namespace {
 using trace::Event;
 using trace::EventKind;
 
-bool tag_compatible(int posted_tag, int tag) {
-  if (posted_tag == mpisim::kAnyTag) return tag < mpisim::kInternalTagBase;
-  return posted_tag == tag;
-}
-
 /// One deposited send during the simulation.
 struct PendingSend {
   int src = -1;
@@ -104,7 +99,8 @@ struct Sim {
     }
     auto eligible = [&](const PendingSend& ps) {
       return !ps.matched && !ps.reserved &&
-             tag_compatible(pr.post_tag, ps.tag);
+             mpisim::envelope_matches(pr.post_src, pr.post_tag, ps.src,
+                                      ps.tag);
     };
     const RecvInfo& ri = in.recvs[pr.recv_slot];
     if (ri.matched_src >= 0) {
@@ -208,7 +204,8 @@ struct Sim {
           }
           for (const PendingSend& ps : queue) {
             if (!ps.matched && !ps.reserved &&
-                tag_compatible(post_tag, ps.tag)) {
+                mpisim::envelope_matches(post_src, post_tag, ps.src,
+                                         ps.tag)) {
               found = true;
               break;
             }

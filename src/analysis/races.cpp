@@ -4,17 +4,6 @@
 
 namespace mpisect::analysis {
 
-namespace {
-
-/// Does the posted envelope of `r` accept a send with tag `tag`?
-/// ANY_TAG deliberately never matches collective-internal traffic.
-bool tag_compatible(int posted_tag, int tag) {
-  if (posted_tag == mpisim::kAnyTag) return tag < mpisim::kInternalTagBase;
-  return posted_tag == tag;
-}
-
-}  // namespace
-
 std::vector<RaceFinding> find_races(const InterpResult& in) {
   std::vector<RaceFinding> out;
   if (in.clocks.empty()) return out;  // no wildcards or no envelopes
@@ -39,7 +28,9 @@ std::vector<RaceFinding> find_races(const InterpResult& in) {
       // FIFO scan: the first send from q that was still available when r
       // posted is the only one r could have taken from this source.
       for (const SendInfo& s : chan_it->second) {
-        if (!tag_compatible(r.post_tag, s.tag)) continue;
+        if (!mpisim::envelope_matches(r.post_src, r.post_tag, q, s.tag)) {
+          continue;
+        }
         if (s.matched && s.recv_post_idx == r.post_idx) {
           break;  // the recorded match itself — not an alternate
         }

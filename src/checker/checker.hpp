@@ -47,16 +47,6 @@ struct CheckerOptions {
   /// Hook the scheduler's quiescence signal for deadlock analysis.
   /// Off = post-run passes only.
   bool deadlock_detection = true;
-  /// Legacy (ignored): real-time window of the old sampling watchdog.
-  /// Detection is now exact — the scheduler proves quiescence instead of
-  /// timing it. Kept so existing configuration code keeps compiling.
-  int deadlock_timeout_ms = 500;
-  /// Legacy (ignored): sampling period of the old watchdog.
-  int poll_interval_ms = 25;
-  /// Legacy (ignored): tools now register with the world's ToolStack,
-  /// which chains unconditionally. Kept so existing configuration code
-  /// keeps compiling.
-  bool chain_hooks = true;
 };
 
 class MpiChecker final : public mpisim::Extension,

@@ -1,70 +1,25 @@
 #include "mpisim/channel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
-#include <stdexcept>
 
 #include "mpisim/cost_rules.hpp"
 #include "mpisim/error.hpp"
-#include "support/spec.hpp"
 
 namespace mpisect::mpisim {
-
-// ---------------------------------------------------------------------------
-// MatchModel: the --match spec
-// ---------------------------------------------------------------------------
-
-const char* MatchModel::name() const noexcept {
-  return mode == MatchMode::Legacy ? "legacy" : "hashed";
-}
-
-std::string MatchModel::spec() const { return name(); }
-
-MatchModel MatchModel::parse(const std::string& spec) {
-  support::SpecParts parts;
-  try {
-    parts = support::parse_spec(spec);
-  } catch (const std::invalid_argument& e) {
-    throw MpiError(Err::Arg, std::string("match ") + e.what());
-  }
-
-  MatchModel m;
-  if (parts.preset == "hashed") {
-    m.mode = MatchMode::Hashed;
-  } else if (parts.preset == "legacy") {
-    m.mode = MatchMode::Legacy;
-  } else {
-    throw MpiError(Err::Arg, "unknown match preset '" + parts.preset +
-                                 "' (expected " + choices() + ")");
-  }
-  require(parts.options.empty() || m.mode == MatchMode::Hashed, Err::Arg,
-          "legacy takes no options");
-  if (!parts.options.empty()) {
-    throw MpiError(Err::Arg, "unknown match option '" +
-                                 parts.options.front().first + "' for hashed");
-  }
-  return m;
-}
-
-std::string MatchModel::choices() { return "hashed|legacy"; }
-
-// ---------------------------------------------------------------------------
-// Channel
-// ---------------------------------------------------------------------------
 
 Channel::~Channel() {
   // Credit back whatever never matched so the world's MemAccount drains to
   // zero when all channels die (a leak here would poison the next world's
-  // high-water mark reading).
-  if (mem_ != nullptr) {
-    for (const auto& m : unexpected_) mem_->sub(queued_bytes(*m));
-    if (!posted_.empty()) mem_->sub(posted_.size() * sizeof(PostedRecv));
-  }
-  for (MsgNode* n = um_all_.head; n != nullptr;) {
-    MsgNode* next = n->next[3];
-    if (mem_ != nullptr) mem_->sub(queued_bytes(*n->msg));
-    delete n;
-    n = next;
+  // high-water mark reading). Every message is on its pair list.
+  for (auto& [key, list] : um_by_pair_) {
+    for (MsgNode* n = list.head; n != nullptr;) {
+      MsgNode* next = n->next[0];
+      if (mem_ != nullptr) mem_->sub(queued_bytes(*n->msg));
+      delete n;
+      n = next;
+    }
   }
   if (mem_ != nullptr && pr_count_ > 0) {
     mem_->sub(pr_count_ * sizeof(PostedRecv));
@@ -90,12 +45,6 @@ Channel::~Channel() {
     delete n;
     n = next;
   }
-}
-
-bool Channel::compatible(const PostedRecv& r, const Message& m) noexcept {
-  const bool src_ok = r.src == kAnySource || r.src == m.src;
-  const bool tag_ok = r.tag == kAnyTag || r.tag == m.tag;
-  return src_ok && tag_ok;
 }
 
 void Channel::complete_match(const MessagePtr& msg,
@@ -156,15 +105,21 @@ void Channel::free_recv_node(RecvNode* n) {
   recv_free_ = n;
 }
 
-// --- hashed engine ---------------------------------------------------------
+// --- index lists -----------------------------------------------------------
+
+std::array<Channel::MsgList*, 4> Channel::lists_of(const Message& m) {
+  const bool user = user_tag(m.tag);
+  return {&um_by_pair_[pair_key(m.src, m.tag)],
+          user ? &um_by_src_[m.src] : nullptr, &um_by_tag_[m.tag],
+          user ? &um_all_ : nullptr};
+}
 
 void Channel::link_msg(const MessagePtr& msg) {
   MsgNode* n = alloc_msg_node();
   n->msg = msg;
-  MsgList* lists[4] = {&um_by_pair_[pair_key(msg->src, msg->tag)],
-                       &um_by_src_[msg->src], &um_by_tag_[msg->tag],
-                       &um_all_};
+  const std::array<MsgList*, 4> lists = lists_of(*msg);
   for (int k = 0; k < 4; ++k) {
+    if (lists[k] == nullptr) continue;
     n->prev[k] = lists[k]->tail;
     n->next[k] = nullptr;
     if (lists[k]->tail != nullptr) {
@@ -177,10 +132,9 @@ void Channel::link_msg(const MessagePtr& msg) {
 }
 
 void Channel::unlink_msg(MsgNode* n) {
-  const Message& m = *n->msg;
-  MsgList* lists[4] = {&um_by_pair_[pair_key(m.src, m.tag)],
-                       &um_by_src_[m.src], &um_by_tag_[m.tag], &um_all_};
+  const std::array<MsgList*, 4> lists = lists_of(*n->msg);
   for (int k = 0; k < 4; ++k) {
+    if (lists[k] == nullptr) continue;
     if (n->prev[k] != nullptr) {
       n->prev[k]->next[k] = n->next[k];
     } else {
@@ -194,18 +148,54 @@ void Channel::unlink_msg(MsgNode* n) {
   }
 }
 
-std::size_t Channel::deposit_hashed(const MessagePtr& msg) {
-  // Candidate receive lanes for this (src,tag): one per wildcard class.
-  // Each lane's head is its earliest-posted member, so the global earliest
-  // compatible receive is the min post-ordinal among the four heads —
-  // identical to the legacy scan's "first compatible in post order".
-  RecvList* lanes[4] = {nullptr, nullptr, nullptr, &pr_any_};
+const Message* Channel::probe_head(int src, int tag) const {
+  if (src != kAnySource && tag != kAnyTag) {
+    const auto it = um_by_pair_.find(pair_key(src, tag));
+    return it != um_by_pair_.end() && it->second.head != nullptr
+               ? it->second.head->msg.get()
+               : nullptr;
+  }
+  if (src != kAnySource) {
+    const auto it = um_by_src_.find(src);
+    return it != um_by_src_.end() && it->second.head != nullptr
+               ? it->second.head->msg.get()
+               : nullptr;
+  }
+  if (tag != kAnyTag) {
+    const auto it = um_by_tag_.find(tag);
+    return it != um_by_tag_.end() && it->second.head != nullptr
+               ? it->second.head->msg.get()
+               : nullptr;
+  }
+  return um_all_.head != nullptr ? um_all_.head->msg.get() : nullptr;
+}
+
+// --- public operations -----------------------------------------------------
+
+std::size_t Channel::deposit(const MessagePtr& msg) {
+  const std::lock_guard lock(mu_);
+  if (msg->fault_lost) {
+    // Injected loss: the retransmit budget was exhausted, so the message
+    // never reaches the matching engine. An eager sender proceeds unaware;
+    // a rendezvous sender blocks in wait_delivered until quiescence, where
+    // the checker attributes the hang to the fault plan.
+    return um_count_;
+  }
+  // Candidate receive lanes for this (src,tag): one per wildcard class
+  // (internal tags skip the two wildcard-tag lanes). Each lane's head is
+  // its earliest-posted member, so the global earliest compatible receive
+  // is the min post-ordinal among the heads — "first compatible in post
+  // order".
+  const bool user = user_tag(msg->tag);
+  RecvList* lanes[4] = {nullptr, nullptr, nullptr, user ? &pr_any_ : nullptr};
   if (const auto it = pr_by_pair_.find(pair_key(msg->src, msg->tag));
       it != pr_by_pair_.end()) {
     lanes[0] = &it->second;
   }
-  if (const auto it = pr_by_src_.find(msg->src); it != pr_by_src_.end()) {
-    lanes[1] = &it->second;
+  if (user) {
+    if (const auto it = pr_by_src_.find(msg->src); it != pr_by_src_.end()) {
+      lanes[1] = &it->second;
+    }
   }
   if (const auto it = pr_by_tag_.find(msg->tag); it != pr_by_tag_.end()) {
     lanes[2] = &it->second;
@@ -236,7 +226,8 @@ std::size_t Channel::deposit_hashed(const MessagePtr& msg) {
   return um_count_;
 }
 
-std::size_t Channel::post_hashed(const PostedRecvPtr& recv) {
+std::size_t Channel::post(const PostedRecvPtr& recv) {
+  const std::lock_guard lock(mu_);
   // The receive's wildcard class picks the one message index whose head is
   // the earliest-arrival compatible message (every index list preserves
   // arrival order).
@@ -289,73 +280,6 @@ std::size_t Channel::post_hashed(const PostedRecvPtr& recv) {
   ++pr_count_;
   if (mem_ != nullptr) mem_->add(sizeof(PostedRecv));
   return pr_count_;
-}
-
-const Message* Channel::probe_head(int src, int tag) const {
-  if (src != kAnySource && tag != kAnyTag) {
-    const auto it = um_by_pair_.find(pair_key(src, tag));
-    return it != um_by_pair_.end() && it->second.head != nullptr
-               ? it->second.head->msg.get()
-               : nullptr;
-  }
-  if (src != kAnySource) {
-    const auto it = um_by_src_.find(src);
-    return it != um_by_src_.end() && it->second.head != nullptr
-               ? it->second.head->msg.get()
-               : nullptr;
-  }
-  if (tag != kAnyTag) {
-    const auto it = um_by_tag_.find(tag);
-    return it != um_by_tag_.end() && it->second.head != nullptr
-               ? it->second.head->msg.get()
-               : nullptr;
-  }
-  return um_all_.head != nullptr ? um_all_.head->msg.get() : nullptr;
-}
-
-// --- public operations -----------------------------------------------------
-
-std::size_t Channel::deposit(const MessagePtr& msg) {
-  const std::lock_guard lock(mu_);
-  if (msg->fault_lost) {
-    // Injected loss: the retransmit budget was exhausted, so the message
-    // never reaches the matching engine. An eager sender proceeds unaware;
-    // a rendezvous sender blocks in wait_delivered until quiescence, where
-    // the checker attributes the hang to the fault plan.
-    return match_.mode == MatchMode::Hashed ? um_count_ : unexpected_.size();
-  }
-  if (match_.mode == MatchMode::Hashed) return deposit_hashed(msg);
-  for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-    if (compatible(**it, *msg)) {
-      complete_match(msg, *it);
-      posted_.erase(it);
-      if (mem_ != nullptr) mem_->sub(sizeof(PostedRecv));
-      wp_.notify_all();
-      return 0;
-    }
-  }
-  unexpected_.push_back(msg);
-  if (mem_ != nullptr) mem_->add(queued_bytes(*msg));
-  // Wake probers waiting for a matching envelope.
-  wp_.notify_all();
-  return unexpected_.size();
-}
-
-std::size_t Channel::post(const PostedRecvPtr& recv) {
-  const std::lock_guard lock(mu_);
-  if (match_.mode == MatchMode::Hashed) return post_hashed(recv);
-  for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if (compatible(*recv, **it)) {
-      if (mem_ != nullptr) mem_->sub(queued_bytes(**it));
-      complete_match(*it, recv);
-      unexpected_.erase(it);
-      wp_.notify_all();
-      return 0;
-    }
-  }
-  posted_.push_back(recv);
-  if (mem_ != nullptr) mem_->add(sizeof(PostedRecv));
-  return posted_.size();
 }
 
 Status Channel::wait_recv(const PostedRecvPtr& recv) {
@@ -412,19 +336,7 @@ double Channel::wait_delivered(const MessagePtr& msg) {
 Status Channel::probe(int src, int tag, double t_probe) {
   std::unique_lock lock(mu_);
   for (;;) {
-    const Message* found = nullptr;
-    if (match_.mode == MatchMode::Hashed) {
-      found = probe_head(src, tag);
-    } else {
-      const PostedRecv pattern{src, tag, t_probe, nullptr, 0, false, false,
-                               {}};
-      for (const auto& msg : unexpected_) {
-        if (compatible(pattern, *msg)) {
-          found = msg.get();
-          break;
-        }
-      }
-    }
+    const Message* found = probe_head(src, tag);
     if (found != nullptr) {
       Status st;
       st.source = found->src;
@@ -449,12 +361,12 @@ Status Channel::probe(int src, int tag, double t_probe) {
 
 std::size_t Channel::pending_messages() {
   const std::lock_guard lock(mu_);
-  return match_.mode == MatchMode::Hashed ? um_count_ : unexpected_.size();
+  return um_count_;
 }
 
 std::size_t Channel::pending_recvs() {
   const std::lock_guard lock(mu_);
-  return match_.mode == MatchMode::Hashed ? pr_count_ : posted_.size();
+  return pr_count_;
 }
 
 }  // namespace mpisect::mpisim

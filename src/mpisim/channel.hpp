@@ -3,24 +3,23 @@
 // Each communicator owns one Channel per member rank; senders deposit into
 // the destination's channel, receivers post into their own. Matching follows
 // MPI's rules: a posted receive matches the earliest queued message whose
-// (source, tag) is compatible, and messages from one source never overtake
-// each other because a sender deposits in program order.
+// envelope is compatible (envelope_matches, message.hpp), and messages from
+// one source never overtake each other because a sender deposits in
+// program order.
 //
-// Two interchangeable engines implement those rules:
-//
-//   * Hashed (default): O(1) amortized matching. Posted receives live in
-//     exactly one of four lanes keyed by their wildcard class — (src,tag),
-//     (src,ANY), (ANY,tag), (ANY,ANY) — each lane a FIFO; every receive
-//     carries a global post ordinal, and a deposit takes the minimum-ordinal
-//     head across the four candidate lanes, which is precisely "first
-//     compatible receive in post order". Unexpected messages are one node
-//     linked into four index lists (by pair, by source, by tag, arrival
-//     order), so a posting receive of any wildcard class finds its
-//     earliest-arrival candidate at a list head and a match unlinks in O(1)
-//     with no tombstones.
-//   * Legacy: the original linear scans over two deques, kept as the
-//     differential-testing reference. Virtual times are bit-identical
-//     between the engines by construction; tests enforce it.
+// Matching is O(1) amortized. Posted receives live in exactly one of four
+// lanes keyed by their wildcard class — (src,tag), (src,ANY), (ANY,tag),
+// (ANY,ANY) — each lane a FIFO; every receive carries a global post
+// ordinal, and a deposit takes the minimum-ordinal head across the four
+// candidate lanes, which is precisely "first compatible receive in post
+// order". Unexpected messages are one node linked into up to four index
+// lists (by pair, by source, by tag, arrival order), so a posting receive
+// of any wildcard class finds its earliest-arrival candidate at a list head
+// and a match unlinks in O(1) with no tombstones. Collective-internal
+// messages (tag >= kInternalTagBase) are linked only by pair and by tag,
+// so wildcard-tag receives and probes never see them — the separate
+// context a real MPI gives collective traffic. tests/match_oracle.hpp is
+// the linear-scan reference the tests compare this engine against.
 //
 // Matching is where virtual time crosses rank boundaries:
 //   eager:       t_deliver = max(t_post, t_avail)
@@ -35,11 +34,10 @@
 // one rank's failure cannot deadlock the world.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 #include "mpisim/message.hpp"
@@ -47,31 +45,6 @@
 #include "obs/memory.hpp"
 
 namespace mpisect::mpisim {
-
-/// Which matching engine a Channel uses.
-enum class MatchMode {
-  Hashed,  ///< per-(src,tag) hash lanes + wildcard lists (default)
-  Legacy,  ///< linear deque scans (differential reference)
-};
-
-/// Matching-engine selection, in the shared `preset[:key=value,...]` spec
-/// vocabulary (the `--match` flag); neither engine takes options:
-///
-///   hashed                 O(1) engine, tables sized on demand
-///   legacy                 linear-scan reference engine
-struct MatchModel {
-  MatchMode mode = MatchMode::Hashed;
-
-  bool operator==(const MatchModel&) const = default;
-
-  [[nodiscard]] const char* name() const noexcept;
-  /// Canonical spec string; MatchModel::parse(spec()) == *this.
-  [[nodiscard]] std::string spec() const;
-  /// Parse a spec string. Throws MpiError(Err::Arg) on unknown presets
-  /// and on any option (neither engine takes one).
-  static MatchModel parse(const std::string& spec);
-  static std::string choices();
-};
 
 class Channel {
  public:
@@ -85,14 +58,11 @@ class Channel {
   /// byte queued in this channel is charged there and credited back on
   /// match, giving an exact per-rank high-water mark. Accounting observes,
   /// never decides — matching and delivery times are unaffected.
-  ///
-  /// `match` picks the engine; both produce identical matches and times.
   Channel(Executor& exec, const std::atomic<bool>* abort_flag,
           double rendezvous_extra = 0.0,
-          obs::MemAccount::RankMem* mem = nullptr,
-          MatchModel match = {}) noexcept
+          obs::MemAccount::RankMem* mem = nullptr) noexcept
       : abort_(abort_flag), rendezvous_extra_(rendezvous_extra), mem_(mem),
-        match_(match), wp_(exec, mu_) {}
+        wp_(exec, mu_) {}
 
   ~Channel();
 
@@ -150,11 +120,12 @@ class Channel {
   [[nodiscard]] std::size_t pending_recvs();
 
  private:
-  // --- hashed-engine stores -----------------------------------------------
-  // One node per unexpected message, linked into four index lists at once.
-  // Index 0: (src,tag) pair bucket; 1: per-source; 2: per-tag; 3: arrival
-  // order (all messages). Every list preserves arrival order, so each
-  // list's head is the earliest compatible message for that wildcard class.
+  // One node per unexpected message, linked into up to four index lists at
+  // once. Index 0: (src,tag) pair bucket; 1: per-source; 2: per-tag; 3:
+  // arrival order. Internal-tag messages are on lists 0 and 2 only (every
+  // message is on its pair list, which is how teardown finds them all).
+  // Every list preserves arrival order, so each list's head is the
+  // earliest compatible message for that wildcard class.
   struct MsgNode {
     MessagePtr msg;
     MsgNode* prev[4] = {nullptr, nullptr, nullptr, nullptr};
@@ -177,7 +148,6 @@ class Channel {
     RecvNode* tail = nullptr;
   };
 
-  static bool compatible(const PostedRecv& r, const Message& m) noexcept;
   /// Pair up msg and recv: compute times, copy payload, flag completion.
   /// Caller holds the mutex.
   void complete_match(const MessagePtr& msg, const PostedRecvPtr& recv) const;
@@ -189,10 +159,13 @@ class Channel {
            static_cast<std::uint32_t>(tag);
   }
 
-  // Hashed-engine helpers (caller holds the mutex).
-  std::size_t deposit_hashed(const MessagePtr& msg);
-  std::size_t post_hashed(const PostedRecvPtr& recv);
+  /// Whether a message is visible to wildcard-tag receives and probes.
+  static bool user_tag(int tag) noexcept { return tag < kInternalTagBase; }
+
+  // Helpers below run with the mutex held.
   const Message* probe_head(int src, int tag) const;
+  /// The index lists `m` is linked into, by index (nullptr: not on it).
+  std::array<MsgList*, 4> lists_of(const Message& m);
   void link_msg(const MessagePtr& msg);
   void unlink_msg(MsgNode* n);
   MsgNode* alloc_msg_node();
@@ -206,28 +179,23 @@ class Channel {
   }
 
   std::mutex mu_;
-  // Legacy engine state (only populated in MatchMode::Legacy).
-  std::deque<MessagePtr> unexpected_;
-  std::deque<PostedRecvPtr> posted_;
-  // Hashed engine state.
   std::unordered_map<std::uint64_t, MsgList> um_by_pair_;
   std::unordered_map<int, MsgList> um_by_src_;
   std::unordered_map<int, MsgList> um_by_tag_;
-  MsgList um_all_;
+  MsgList um_all_;  ///< arrival order of user-tag messages
   std::unordered_map<std::uint64_t, RecvList> pr_by_pair_;
   std::unordered_map<int, RecvList> pr_by_src_;  ///< (src, ANY)
   std::unordered_map<int, RecvList> pr_by_tag_;  ///< (ANY, tag)
   RecvList pr_any_;                              ///< (ANY, ANY)
   MsgNode* msg_free_ = nullptr;   ///< node freelist (allocation reuse)
   RecvNode* recv_free_ = nullptr;
-  std::size_t um_count_ = 0;  ///< unmatched queued messages (both engines)
-  std::size_t pr_count_ = 0;  ///< unmatched posted receives (both engines)
+  std::size_t um_count_ = 0;  ///< unmatched queued messages
+  std::size_t pr_count_ = 0;  ///< unmatched posted receives
   std::uint64_t pr_ord_ = 0;  ///< next post ordinal
 
   const std::atomic<bool>* abort_;
   double rendezvous_extra_;
   obs::MemAccount::RankMem* mem_;
-  MatchModel match_;
   WaitPoint wp_;
 };
 

@@ -24,6 +24,18 @@ inline constexpr int kAnyTag = -1;
 inline constexpr int kTagUb = 1 << 20;
 inline constexpr int kInternalTagBase = kTagUb;
 
+/// MPI's envelope rule: does a receive (or probe) posted for
+/// (post_src, post_tag) accept a message from `src` with `tag`? A wildcard
+/// tag never matches collective-internal traffic, which a real MPI keeps
+/// in a separate context.
+[[nodiscard]] constexpr bool envelope_matches(int post_src, int post_tag,
+                                              int src, int tag) noexcept {
+  const bool src_ok = post_src == kAnySource || post_src == src;
+  const bool tag_ok =
+      post_tag == kAnyTag ? tag < kInternalTagBase : post_tag == tag;
+  return src_ok && tag_ok;
+}
+
 /// Completion record returned by receive operations.
 struct Status {
   int source = kAnySource;

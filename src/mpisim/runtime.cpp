@@ -29,8 +29,7 @@ World::World(int nranks, WorldOptions options)
   options_.machine = fold_progress(std::move(options_.machine), {},
                                    options_.progress,
                                    /*machine_is_recorded=*/false);
-  executor_ =
-      make_executor(options_.exec, options_.workers, options_.stack_kb);
+  executor_ = make_executor(options_.exec);
   executor_->set_mem_account(&stack_account_);
   // Exact deadlock signal: every live rank parked, no wake pending. Give
   // the checker first look at the wait graph, then tear the world down.

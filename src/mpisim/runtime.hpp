@@ -65,20 +65,11 @@ struct WorldOptions {
   /// ("non-intrusive synchronization primitives which could be selectively
   /// enabled", paper Sec. 4).
   bool validate_sections = false;
-  /// Rank execution backend. Cooperative multiplexes ranks over a fixed
-  /// worker pool; Threads is the one-OS-thread-per-rank differential
-  /// reference. Virtual-time results are identical either way.
-  ExecBackend exec = ExecBackend::Cooperative;
-  /// Worker threads for the cooperative backend: 0 = MPISECT_WORKERS env
-  /// var, else hardware_concurrency (see resolve_workers()).
-  int workers = 0;
-  /// Fiber stack size in KiB for the cooperative backend: 0 =
-  /// MPISECT_STACK_KB env var, else 1 MiB; values are clamped up to 64.
-  std::size_t stack_kb = 0;
-  /// Message-matching engine (see channel.hpp). Hashed is the O(1) default;
-  /// Legacy keeps the linear-scan reference for differential testing. Both
-  /// produce bit-identical virtual times.
-  MatchModel match = {};
+  /// Rank execution model (scheduler.hpp): the cooperative backend
+  /// multiplexes ranks over a worker pool (`workers`, `stack_kb`); Threads
+  /// is the one-OS-thread-per-rank differential reference. Virtual-time
+  /// results are identical either way.
+  ExecModel exec = {};
   /// Deterministic fault-injection plan (see faults/plan.hpp). An empty
   /// plan constructs no engine, so fault-free runs are bit-identical to a
   /// build without the fault layer.

@@ -753,16 +753,12 @@ int resolve_workers(int workers) noexcept {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-std::unique_ptr<Executor> make_executor(ExecBackend backend, int workers,
-                                        std::size_t stack_kb) {
-  if (backend == ExecBackend::Threads) {
+std::unique_ptr<Executor> make_executor(const ExecModel& model) {
+  if (model.backend == ExecBackend::Threads) {
     return std::make_unique<ThreadExecutor>();
   }
-  return std::make_unique<FiberExecutor>(resolve_workers(workers), stack_kb);
-}
-
-std::unique_ptr<Executor> make_executor(const ExecModel& model) {
-  return make_executor(model.backend, model.workers, model.stack_kb);
+  return std::make_unique<FiberExecutor>(resolve_workers(model.workers),
+                                         model.stack_kb);
 }
 
 // ---------------------------------------------------------------------------

@@ -249,15 +249,10 @@ class WaitPoint {
 /// else the MPISECT_WORKERS environment variable, else hardware_concurrency.
 [[nodiscard]] int resolve_workers(int workers) noexcept;
 
-/// Create an executor. workers is resolved via resolve_workers() and only
-/// meaningful for the cooperative backend. stack_kb sets the fiber stack
-/// size (clamped up to 64 KiB); 0 falls back to MPISECT_STACK_KB, else
-/// 1 MiB.
-[[nodiscard]] std::unique_ptr<Executor> make_executor(ExecBackend backend,
-                                                      int workers = 0,
-                                                      std::size_t stack_kb = 0);
-
-/// make_executor from a parsed spec (backend + workers + stack in one).
+/// Create an executor. `model.workers` is resolved via resolve_workers()
+/// and only meaningful for the cooperative backend. `model.stack_kb` sets
+/// the fiber stack size (clamped up to 64 KiB); 0 falls back to
+/// MPISECT_STACK_KB, else 1 MiB.
 [[nodiscard]] std::unique_ptr<Executor> make_executor(const ExecModel& model);
 
 }  // namespace mpisect::mpisim

@@ -16,13 +16,8 @@ constexpr const char* kPsetSelf = "mpi://SELF";
 // ---------------------------------------------------------------------------
 
 std::string WorldBuilder::describe() const {
-  ExecModel em;
-  em.backend = opts_.exec;
-  em.workers = opts_.workers;
-  em.stack_kb = opts_.stack_kb;
   std::string s = "ranks=" + std::to_string(nranks_);
-  s += " exec=" + em.spec();
-  s += " match=" + opts_.match.spec();
+  s += " exec=" + opts_.exec.spec();
   s += " progress=" + opts_.progress.spec();
   s += " seed=" + std::to_string(opts_.seed);
   return s;

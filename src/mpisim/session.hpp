@@ -8,7 +8,6 @@
 //   Session session(65536);
 //   auto world = session.world_builder()     // "mpi://WORLD" by default
 //                    .exec_spec("cooperative:workers=8,stack=128")
-//                    .match_spec("hashed")
 //                    .build();               // World(nranks, options)
 //   world->run(rank_main);                   // per-rank state appears here
 //
@@ -72,22 +71,12 @@ class WorldBuilder {
   }
   /// Execution backend + workers + stack size in one knob.
   WorldBuilder& exec(const ExecModel& m) {
-    opts_.exec = m.backend;
-    opts_.workers = m.workers;
-    opts_.stack_kb = m.stack_kb;
+    opts_.exec = m;
     return *this;
   }
   /// e.g. "cooperative:workers=4,stack=256" or "threads".
   WorldBuilder& exec_spec(const std::string& spec) {
     return exec(ExecModel::parse(spec));
-  }
-  WorldBuilder& match(const MatchModel& m) {
-    opts_.match = m;
-    return *this;
-  }
-  /// "hashed" or "legacy".
-  WorldBuilder& match_spec(const std::string& spec) {
-    return match(MatchModel::parse(spec));
   }
   WorldBuilder& progress(const ProgressModel& m) {
     opts_.progress = m;

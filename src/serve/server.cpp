@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "obs/spans.hpp"
 #include "support/json.hpp"
@@ -163,9 +164,15 @@ std::string Server::dispatch(const std::string& line) {
 }
 
 void Server::connection_loop(int fd) {
+  static const std::string kTooLong =
+      "{\"id\":0,\"ok\":false,\"error\":\"request line exceeds " +
+      std::to_string(kMaxLineBytes) + " bytes\"}\n";
   std::string buffer;
+  std::size_t scanned = 0;  // the newline search resumes here
+  bool skipping = false;    // inside an over-long line: drop to its newline
+  bool open = true;
   char chunk[4096];
-  for (;;) {
+  while (open) {
     const ssize_t n = ::read(fd, chunk, sizeof chunk);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
@@ -173,19 +180,28 @@ void Server::connection_loop(int fd) {
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
+    for (std::size_t nl = buffer.find('\n', scanned);
+         open && nl != std::string::npos; nl = buffer.find('\n', scanned)) {
+      const std::size_t begin = start;
+      start = scanned = nl + 1;
+      if (skipping) {
+        skipping = false;
+        continue;
+      }
+      std::string line = buffer.substr(begin, nl - begin);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      if (!write_all(fd, dispatch(line) + "\n")) {
-        start = buffer.size();
-        break;
-      }
+      open = write_all(fd, line.size() > kMaxLineBytes
+                               ? kTooLong
+                               : dispatch(line) + "\n");
+    }
+    if (open && (skipping || buffer.size() - start > kMaxLineBytes)) {
+      if (!skipping) open = write_all(fd, kTooLong);
+      skipping = true;
+      start = buffer.size();
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
   }
   ::close(fd);
 }

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -27,6 +28,11 @@ namespace mpisect::serve {
 
 class Server {
  public:
+  /// Longest request line a connection buffers. A longer line is answered
+  /// with an `ok:false` error and discarded up to its newline; the
+  /// connection keeps serving.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
   /// `workers` is clamped to at least 1.
   Server(Service& service, int workers);
   ~Server();

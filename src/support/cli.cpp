@@ -183,8 +183,6 @@ void add_world_flags(ArgParser& args) {
   args.add_string("exec", "cooperative",
                   "rank execution backend: "
                   "cooperative[:workers=N,stack=KB] | threads");
-  args.add_string("match", "hashed",
-                  "message-matching engine: hashed | legacy");
 }
 
 }  // namespace mpisect::support

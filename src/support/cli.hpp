@@ -81,9 +81,8 @@ void add_unified_flags(ArgParser& args, const std::string& model_default,
 /// Register the flags shared by every tool/bench that constructs a
 /// simulated world, in the common `preset[:key=value,...]` vocabulary:
 ///   --exec  cooperative[:workers=N,stack=KB] | threads
-///   --match hashed | legacy
-/// Feed the values to WorldBuilder::exec_spec()/match_spec(), which parse
-/// and validate them (support is below mpisim, so parsing lives there).
+/// Feed the value to WorldBuilder::exec_spec(), which parses and validates
+/// it (support is below mpisim, so parsing lives there).
 void add_world_flags(ArgParser& args);
 
 }  // namespace mpisect::support

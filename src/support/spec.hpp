@@ -1,9 +1,9 @@
 #pragma once
 
 // The shared `preset[:key=value,...]` flag vocabulary. One grammar serves
-// every model-selection flag — `--progress`, `--exec`, `--match` — so a
-// spec printed by one tool's describe()/spec() round-trips through any
-// other tool's parser. Keeping the splitter here (and the validation in
+// every model-selection flag — `--progress` and `--exec` — so a spec
+// printed by one tool's describe()/spec() round-trips through any other
+// tool's parser. Keeping the splitter here (and the validation in
 // each model) lets models keep their own error types and option names.
 
 #include <string>

@@ -6,9 +6,12 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "match_oracle.hpp"
 #include "mpisim/channel.hpp"
 #include "mpisim/error.hpp"
 #include "mpisim/scheduler.hpp"
@@ -20,7 +23,8 @@ using namespace mpisect::mpisim;
 
 struct ChannelFixture {
   std::atomic<bool> abort{false};
-  std::unique_ptr<Executor> exec = make_executor(ExecBackend::Threads);
+  std::unique_ptr<Executor> exec =
+      make_executor({.backend = ExecBackend::Threads});
   Channel ch{*exec, &abort};
 };
 
@@ -234,129 +238,207 @@ TEST(Channel, AbortWakesRendezvousSender) {
   killer.join();
 }
 
+TEST(Channel, WildcardTagNeverSeesInternalTraffic) {
+  // Collective-internal messages live in their own context: only a receive
+  // or probe naming the internal tag may match them.
+  ChannelFixture f;
+  auto any_any = make_recv(kAnySource, kAnyTag, 1.0);
+  auto src_any = make_recv(0, kAnyTag, 1.0);
+  f.ch.post(any_any);
+  f.ch.post(src_any);
+  f.ch.deposit(make_msg(0, kInternalTagBase, 1.0, 0.1));
+  EXPECT_FALSE(f.ch.test_recv(any_any));
+  EXPECT_FALSE(f.ch.test_recv(src_any));
+  EXPECT_EQ(f.ch.pending_messages(), 1u);
+  f.abort.store(true);  // an unmatched probe throws instead of parking
+  EXPECT_THROW((void)f.ch.probe(kAnySource, kAnyTag, 2.0), MpiError);
+  EXPECT_THROW((void)f.ch.probe(0, kAnyTag, 2.0), MpiError);
+  f.abort.store(false);
+  EXPECT_EQ(f.ch.probe(kAnySource, kInternalTagBase, 2.0).source, 0);
+  auto internal = make_recv(0, kInternalTagBase, 2.0);
+  f.ch.post(internal);
+  EXPECT_TRUE(f.ch.test_recv(internal));
+  f.ch.deposit(make_msg(0, 5, 1.0, 0.1));
+  EXPECT_TRUE(f.ch.test_recv(any_any));  // user traffic still matches
+  EXPECT_EQ(f.ch.pending_messages(), 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Matching engines: hashed vs legacy differential coverage
+// Channel against the linear-scan oracle (match_oracle.hpp)
 // ---------------------------------------------------------------------------
 
+/// Feeds one history to a Channel and to the oracle and compares them.
 struct EngineFixture {
   std::atomic<bool> abort{false};
-  std::unique_ptr<Executor> exec = make_executor(ExecBackend::Threads);
-  Channel hashed{*exec, &abort, 0.0, nullptr,
-                 MatchModel{MatchMode::Hashed}};
-  Channel legacy{*exec, &abort, 0.0, nullptr,
-                 MatchModel{MatchMode::Legacy}};
-};
+  std::unique_ptr<Executor> exec =
+      make_executor({.backend = ExecBackend::Threads});
+  Channel ch{*exec, &abort};
+  mpisect::test::MatchOracle oracle;
+  std::vector<PostedRecvPtr> recvs;  ///< the Channel's, in post order
 
-TEST(ChannelEngines, SpecVocabularyRoundTrips) {
-  EXPECT_EQ(MatchModel{}.spec(), "hashed");
-  EXPECT_EQ(MatchModel::parse("hashed").spec(), "hashed");
-  EXPECT_EQ(MatchModel::parse("legacy").mode, MatchMode::Legacy);
-  EXPECT_EQ(MatchModel::parse("legacy").spec(), "legacy");
-  EXPECT_THROW(MatchModel::parse("btree"), MpiError);
-  // Neither engine takes options: the removed buckets= knob is rejected
-  // like any unknown option.
-  EXPECT_THROW(MatchModel::parse("hashed:buckets=64"), MpiError);
-  EXPECT_THROW(MatchModel::parse("legacy:buckets=2"), MpiError);
-}
+  PostedRecvPtr post(int src, int tag, double t_post) {
+    recvs.push_back(make_recv(src, tag, t_post));
+    ch.post(recvs.back());
+    (void)oracle.post(src, tag, t_post);
+    return recvs.back();
+  }
+  void deposit(const MessagePtr& msg) {
+    oracle.deposit(*msg);
+    ch.deposit(msg);
+  }
+  /// The channel's probe, or nullopt where it would park for a message.
+  std::optional<Status> channel_probe(int src, int tag, double t) {
+    abort.store(true);  // an unmatched probe throws instead of parking
+    std::optional<Status> got;
+    try {
+      got = ch.probe(src, tag, t);
+    } catch (const MpiError&) {
+    }
+    abort.store(false);
+    return got;
+  }
+  void expect_probe_agrees(int src, int tag, double t,
+                           const std::string& where) {
+    const std::optional<Status> want = oracle.probe(src, tag, t);
+    const std::optional<Status> got = channel_probe(src, tag, t);
+    ASSERT_EQ(got.has_value(), want.has_value()) << where;
+    if (want) expect_same(*got, *want, where);
+  }
+  void expect_agree(const std::string& where) {
+    EXPECT_EQ(ch.pending_messages(), oracle.pending_messages()) << where;
+    EXPECT_EQ(ch.pending_recvs(), oracle.pending_recvs()) << where;
+    for (std::size_t i = 0; i < recvs.size(); ++i) {
+      const std::optional<Status>& want = oracle.result(i);
+      const std::string at = where + " recv " + std::to_string(i);
+      ASSERT_EQ(ch.test_recv(recvs[i]), want.has_value()) << at;
+      if (want) expect_same(ch.wait_recv(recvs[i]), *want, at);
+    }
+  }
+  static void expect_same(const Status& a, const Status& b,
+                          const std::string& where) {
+    EXPECT_EQ(a.source, b.source) << where;
+    EXPECT_EQ(a.tag, b.tag) << where;
+    EXPECT_EQ(a.bytes, b.bytes) << where;
+    EXPECT_EQ(a.seq, b.seq) << where;
+    EXPECT_EQ(a.t_complete, b.t_complete) << where;
+  }
+};
 
 // A deposit must take the minimum post ordinal ACROSS wildcard lanes, not
 // just the head of its exact-(src,tag) lane — post order is global.
 TEST(ChannelEngines, WildcardLanesRespectGlobalPostOrder) {
   EngineFixture f;
-  for (Channel* ch : {&f.hashed, &f.legacy}) {
-    auto any_any = make_recv(kAnySource, kAnyTag, 1.0);   // ordinal 0
-    auto exact = make_recv(2, 5, 1.0);                    // ordinal 1
-    auto any_tag = make_recv(kAnySource, 5, 1.0);         // ordinal 2
-    ch->post(any_any);
-    ch->post(exact);
-    ch->post(any_tag);
-    ch->deposit(make_msg(2, 5, 0.0, 0.1));  // compatible with all three
-    EXPECT_TRUE(ch->test_recv(any_any));    // earliest ordinal wins
-    EXPECT_FALSE(ch->test_recv(exact));
-    EXPECT_FALSE(ch->test_recv(any_tag));
-    ch->deposit(make_msg(2, 5, 0.0, 0.1));
-    EXPECT_TRUE(ch->test_recv(exact));      // then post order again
-    EXPECT_FALSE(ch->test_recv(any_tag));
-    ch->deposit(make_msg(2, 5, 0.0, 0.1));
-    EXPECT_TRUE(ch->test_recv(any_tag));
-  }
+  auto any_any = f.post(kAnySource, kAnyTag, 1.0);  // ordinal 0
+  auto exact = f.post(2, 5, 1.0);                   // ordinal 1
+  auto any_tag = f.post(kAnySource, 5, 1.0);        // ordinal 2
+  f.deposit(make_msg(2, 5, 0.0, 0.1));  // compatible with all three
+  EXPECT_TRUE(f.ch.test_recv(any_any));  // earliest ordinal wins
+  EXPECT_FALSE(f.ch.test_recv(exact));
+  EXPECT_FALSE(f.ch.test_recv(any_tag));
+  f.deposit(make_msg(2, 5, 0.0, 0.1));
+  EXPECT_TRUE(f.ch.test_recv(exact));  // then post order again
+  EXPECT_FALSE(f.ch.test_recv(any_tag));
+  f.deposit(make_msg(2, 5, 0.0, 0.1));
+  EXPECT_TRUE(f.ch.test_recv(any_tag));
+  f.expect_agree("lanes");
 }
 
 // A (src, ANY) receive must find the earliest-ARRIVAL message from that
 // source even when other sources' messages interleave the queue.
 TEST(ChannelEngines, SourceWildcardFindsEarliestArrivalFromSource) {
   EngineFixture f;
-  for (Channel* ch : {&f.hashed, &f.legacy}) {
-    ch->deposit(make_msg(1, 10, 1.0, 0.1));
-    ch->deposit(make_msg(2, 20, 1.0, 0.1));
-    ch->deposit(make_msg(1, 30, 1.0, 0.1));
-    auto pr = make_recv(1, kAnyTag, 2.0);
-    ch->post(pr);
-    EXPECT_EQ(ch->wait_recv(pr).tag, 10);  // first arrival from source 1
-    auto pr2 = make_recv(1, kAnyTag, 2.0);
-    ch->post(pr2);
-    EXPECT_EQ(ch->wait_recv(pr2).tag, 30);
-    EXPECT_EQ(ch->pending_messages(), 1u);  // source 2 untouched
-  }
+  f.deposit(make_msg(1, 10, 1.0, 0.1));
+  f.deposit(make_msg(2, 20, 1.0, 0.1));
+  f.deposit(make_msg(1, 30, 1.0, 0.1));
+  auto pr = f.post(1, kAnyTag, 2.0);
+  EXPECT_EQ(f.ch.wait_recv(pr).tag, 10);  // first arrival from source 1
+  auto pr2 = f.post(1, kAnyTag, 2.0);
+  EXPECT_EQ(f.ch.wait_recv(pr2).tag, 30);
+  EXPECT_EQ(f.ch.pending_messages(), 1u);  // source 2 untouched
+  f.expect_agree("source wildcard");
 }
 
 TEST(ChannelEngines, ProbeSeesEarliestCompatibleInBothEngines) {
   EngineFixture f;
-  for (Channel* ch : {&f.hashed, &f.legacy}) {
-    ch->deposit(make_msg(4, 1, 1.0, 0.1));
-    ch->deposit(make_msg(3, 1, 0.5, 0.1));
-    const Status by_tag = ch->probe(kAnySource, 1, 2.0);
-    EXPECT_EQ(by_tag.source, 4);  // arrival order, not timestamps
-    const Status by_src = ch->probe(3, kAnyTag, 2.0);
-    EXPECT_EQ(by_src.source, 3);
-    EXPECT_EQ(ch->pending_messages(), 2u);
+  f.deposit(make_msg(4, 1, 1.0, 0.1));
+  f.deposit(make_msg(3, 1, 0.5, 0.1));
+  const std::optional<Status> by_tag = f.channel_probe(kAnySource, 1, 2.0);
+  ASSERT_TRUE(by_tag.has_value());
+  EXPECT_EQ(by_tag->source, 4);  // arrival order, not timestamps
+  const std::optional<Status> by_src = f.channel_probe(3, kAnyTag, 2.0);
+  ASSERT_TRUE(by_src.has_value());
+  EXPECT_EQ(by_src->source, 3);
+  for (const int src : {kAnySource, 3, 4, 5}) {
+    for (const int tag : {kAnyTag, 1, 2}) {
+      f.expect_probe_agrees(src, tag, 2.0,
+                            "probe " + std::to_string(src) + "," +
+                                std::to_string(tag));
+    }
   }
+  f.expect_agree("probe");
 }
 
-// Randomized differential: any interleaving of deposits and posts across
-// sources, tags, and wildcard classes must produce identical match results
-// (source, tag, completion time, leftover queues) in both engines.
+// Randomized differential: any interleaving of deposits (user and
+// collective-internal tags, eager and rendezvous, some lost to injected
+// faults), posts and probes of all four wildcard classes must match the
+// oracle exactly: which message each receive takes, its completion time,
+// every probe's answer and the leftover queues.
 TEST(ChannelEngines, RandomizedHistoriesAgree) {
   const mpisect::support::CounterRng rng(0xD1FF);
   std::uint64_t ctr = 0;
-  for (int round = 0; round < 50; ++round) {
+  const auto draw = [&](std::uint64_t stream, std::uint64_t n) {
+    return static_cast<int>(rng.below(stream, ctr++, n));
+  };
+  const int tags[] = {0, 1, 2, kInternalTagBase, kInternalTagBase + 1};
+  int classes[4] = {};  // posts and probes per wildcard class
+  int lost = 0;
+  int internal_matches = 0;
+  int probe_hits = 0;
+  for (int round = 0; round < 200; ++round) {
     EngineFixture f;
-    std::vector<PostedRecvPtr> hashed_recvs;
-    std::vector<PostedRecvPtr> legacy_recvs;
-    for (int op = 0; op < 40; ++op) {
-      const bool is_post = rng.below(0, ctr++, 2) == 1;
-      const int src = static_cast<int>(rng.below(1, ctr++, 4));
-      const int tag = static_cast<int>(rng.below(2, ctr++, 3));
+    for (int op = 0; op < 60; ++op) {
+      const std::string where =
+          "round " + std::to_string(round) + " op " + std::to_string(op);
+      const int kind = draw(0, 5);  // 0-1 deposit, 2-3 post, 4 probe
+      const int src = draw(1, 4);
+      const int tag = tags[draw(2, 5)];
       const double t = 0.25 * static_cast<double>(op);
-      if (is_post) {
-        const bool any_src = rng.below(3, ctr, 3) == 0;
-        const bool any_tag = rng.below(4, ctr++, 3) == 0;
-        hashed_recvs.push_back(make_recv(any_src ? kAnySource : src,
-                                         any_tag ? kAnyTag : tag, t));
-        legacy_recvs.push_back(make_recv(any_src ? kAnySource : src,
-                                         any_tag ? kAnyTag : tag, t));
-        f.hashed.post(hashed_recvs.back());
-        f.legacy.post(legacy_recvs.back());
+      if (kind < 2) {
+        const double cost = 0.125 * (1 + draw(3, 4));
+        const bool rendezvous = draw(4, 3) == 0;
+        auto msg = make_msg(src, tag, t, cost, rendezvous);
+        msg->seq = static_cast<std::uint64_t>(op);
+        msg->fault_lost = draw(5, 8) == 0;
+        lost += msg->fault_lost ? 1 : 0;
+        f.deposit(msg);
       } else {
-        f.hashed.deposit(make_msg(src, tag, t, 0.125));
-        f.legacy.deposit(make_msg(src, tag, t, 0.125));
+        const bool any_src = draw(6, 3) == 0;
+        const bool any_tag = draw(7, 3) == 0;
+        ++classes[(any_src ? 2 : 0) + (any_tag ? 1 : 0)];
+        const int post_src = any_src ? kAnySource : src;
+        const int post_tag = any_tag ? kAnyTag : tag;
+        if (kind < 4) {
+          (void)f.post(post_src, post_tag, t);
+        } else {
+          probe_hits += f.oracle.probe(post_src, post_tag, t) ? 1 : 0;
+          f.expect_probe_agrees(post_src, post_tag, t, where);
+        }
       }
+      ASSERT_EQ(f.ch.pending_messages(), f.oracle.pending_messages())
+          << where;
+      ASSERT_EQ(f.ch.pending_recvs(), f.oracle.pending_recvs()) << where;
     }
-    EXPECT_EQ(f.hashed.pending_messages(), f.legacy.pending_messages());
-    EXPECT_EQ(f.hashed.pending_recvs(), f.legacy.pending_recvs());
-    for (std::size_t i = 0; i < hashed_recvs.size(); ++i) {
-      const bool done = f.hashed.test_recv(hashed_recvs[i]);
-      ASSERT_EQ(done, f.legacy.test_recv(legacy_recvs[i]))
-          << "round " << round << " recv " << i;
-      if (!done) continue;
-      const Status a = f.hashed.wait_recv(hashed_recvs[i]);
-      const Status b = f.legacy.wait_recv(legacy_recvs[i]);
-      EXPECT_EQ(a.source, b.source) << "round " << round << " recv " << i;
-      EXPECT_EQ(a.tag, b.tag) << "round " << round << " recv " << i;
-      EXPECT_EQ(a.t_complete, b.t_complete)
-          << "round " << round << " recv " << i;
+    f.expect_agree("round " + std::to_string(round));
+    for (std::size_t i = 0; i < f.recvs.size(); ++i) {
+      const auto& st = f.oracle.result(i);
+      internal_matches += st && st->tag >= kInternalTagBase ? 1 : 0;
     }
   }
+  // The histories exercise what they claim to.
+  for (const int n : classes) EXPECT_GT(n, 0);
+  EXPECT_GT(lost, 0);
+  EXPECT_GT(internal_matches, 0);
+  EXPECT_GT(probe_hits, 0);
 }
 
 }  // namespace

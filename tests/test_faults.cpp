@@ -75,8 +75,7 @@ RunArtifacts run_convolution(const FaultPlan& plan, mpisim::ExecBackend exec,
   mpisim::WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = 0xBEEF;
-  opts.exec = exec;
-  opts.workers = workers;
+  opts.exec = {.backend = exec, .workers = workers};
   opts.faults = plan;
   mpisim::World world(ranks, opts);
   sections::SectionRuntime::install(world);

@@ -287,6 +287,30 @@ TEST(P2P, ProbeSeesEnvelopeWithoutConsuming) {
   });
 }
 
+// A pending wildcard-tag receive must not take a collective's internal
+// message: collective traffic lives in its own context, as in MPI.
+TEST(P2P, WildcardReceiveSkipsCollectiveTraffic) {
+  World world(2, ideal_options());
+  world.run([](Ctx& ctx) {
+    Comm comm = ctx.world_comm();
+    int v = ctx.rank() == 1 ? 42 : 0;
+    if (ctx.rank() == 0) {
+      int got = 0;
+      Comm::Request req = comm.irecv(&got, sizeof got, kAnySource, kAnyTag);
+      comm.bcast(&v, sizeof v, /*root=*/1);
+      EXPECT_EQ(v, 42);
+      const Status st = req.wait();
+      EXPECT_EQ(st.source, 1);
+      EXPECT_EQ(st.tag, 5);
+      EXPECT_EQ(got, 7);
+    } else {
+      comm.bcast(&v, sizeof v, /*root=*/1);
+      const int payload = 7;
+      comm.send(&payload, sizeof payload, 0, 5);
+    }
+  });
+}
+
 TEST(P2P, InvalidArgumentsThrow) {
   World world(2, ideal_options());
   EXPECT_THROW(world.run([](Ctx& ctx) {

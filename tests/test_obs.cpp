@@ -163,8 +163,7 @@ RunResult run_conv(mpisim::ExecBackend exec, int workers) {
   mpisim::WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = 0x5EED;
-  opts.exec = exec;
-  opts.workers = workers;
+  opts.exec = {.backend = exec, .workers = workers};
   mpisim::World world(8, opts);
   sections::SectionRuntime::install(world);
   auto rec = trace::TraceRecorder::install(world, {.app = "convolution"});

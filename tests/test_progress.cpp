@@ -44,8 +44,7 @@ WorldOptions nehalem_options(ExecBackend exec = ExecBackend::Cooperative,
                              ProgressModel progress = {}) {
   WorldOptions opts;
   opts.machine = MachineModel::nehalem_cluster();
-  opts.exec = exec;
-  opts.workers = workers;
+  opts.exec = {.backend = exec, .workers = workers};
   opts.progress = progress;
   return opts;
 }
@@ -298,10 +297,7 @@ TEST(ProgressLivelock, CheckerClassifiesTestLoopLivelock) {
     opts.machine = MachineModel::ideal();
     return opts;
   }());
-  checker::CheckerOptions copts;
-  copts.deadlock_timeout_ms = 250;
-  copts.poll_interval_ms = 10;
-  auto check = checker::MpiChecker::install(world, copts);
+  auto check = checker::MpiChecker::install(world);
 
   bool aborted = false;
   try {

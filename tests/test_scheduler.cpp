@@ -43,8 +43,7 @@ WorldOptions nehalem_options(ExecBackend exec, int workers = 0) {
   WorldOptions opts;
   opts.machine = MachineModel::nehalem_cluster();
   opts.start_skew_sigma = 1e-4;  // exercise the seeded jitter draws
-  opts.exec = exec;
-  opts.workers = workers;
+  opts.exec = {.backend = exec, .workers = workers};
   return opts;
 }
 
@@ -206,7 +205,7 @@ TEST(Scheduler, ElapsedHandlesNegativeFinalTimes) {
 // Same fix inside CollSync: the round's max-entry-time must not clamp
 // negative virtual times to 0.0.
 TEST(Scheduler, CollSyncMaxEntryHandlesNegativeTimes) {
-  auto exec = mpisim::make_executor(ExecBackend::Threads);
+  auto exec = mpisim::make_executor({.backend = ExecBackend::Threads});
   std::atomic<bool> abort{false};
   mpisim::CollSync<int> sync(2, *exec, &abort);
   double max0 = 0.0;

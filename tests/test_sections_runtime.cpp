@@ -355,8 +355,7 @@ TEST(SectionLabels, ConcurrentInterningAgreesAndStaysDense) {
   constexpr int kRanks = 256;
   constexpr int kLabels = 96;
   WorldOptions opts = ideal_options();
-  opts.exec = mpisim::ExecBackend::Cooperative;
-  opts.workers = 4;
+  opts.exec = {.backend = mpisim::ExecBackend::Cooperative, .workers = 4};
   World world(kRanks, opts);
   LabelRegistry reg;
   std::vector<std::vector<LabelId>> seen(

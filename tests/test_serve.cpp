@@ -485,4 +485,21 @@ TEST(Server, ConcurrentClientsGetConsistentAnswers) {
   }
 }
 
+// A request line over the cap is answered with the error contract and
+// dropped up to its newline; the same connection then serves normally.
+TEST(Server, OverlongLineIsRejectedAndConnectionKeepsServing) {
+  const Fixture& fx = fixture();
+  const std::string info =
+      "{\"id\":2,\"op\":\"info\",\"trace\":\"" + fx.mpstz_path + "\"}";
+  const std::vector<std::string> responses = serve_session(
+      1, {std::string(serve::Server::kMaxLineBytes + 1, 'x'), info});
+  ASSERT_EQ(responses.size(), 2u);
+  const support::JsonValue err = parse_response(responses[0]);
+  EXPECT_FALSE(err.find("ok")->boolean);
+  EXPECT_NE(err.find("error")->string.find("exceeds"), std::string::npos);
+  const support::JsonValue ok = parse_response(responses[1]);
+  EXPECT_TRUE(ok.find("ok")->boolean) << responses[1];
+  EXPECT_EQ(responses[1], serve_session(1, {info}).at(0));
+}
+
 }  // namespace

@@ -4,9 +4,8 @@
 //     friends (two built-ins: mpi://WORLD, mpi://SELF);
 //   * WorldBuilder specs round-trip (describe() strings feed back through
 //     the matching setters) and reject unknown presets/options;
-//   * both matching engines and all execution backends produce bit-identical
-//     artifacts (final virtual times, .mpst bytes, telemetry CSVs) — the
-//     differential matrix behind the hashed engine;
+//   * all execution backends produce bit-identical artifacts (final
+//     virtual times, .mpst bytes, telemetry CSVs);
 //   * streaming trace writes (TraceRecorder::save, codec::compress_stream)
 //     are byte-identical to the monolithic finish().encode()/compress();
 //   * the v5 trace format round-trips the hierarchical-NBC machine flag;
@@ -72,20 +71,14 @@ TEST(WorldBuilder, DescribeUsesCanonicalRoundTripSpecs) {
   Session s(8);
   auto b = s.world_builder()
                .exec_spec("cooperative:workers=4,stack=256")
-               .match_spec("hashed")
                .progress_spec("blocking-only")
                .seed(7);
   EXPECT_EQ(b.describe(),
             "ranks=8 exec=cooperative:workers=4,stack=256 "
-            "match=hashed progress=blocking-only seed=7");
+            "progress=blocking-only seed=7");
   // Feed every spec back through its setter: a fixed point.
   const auto& o = b.peek_options();
-  mpisim::ExecModel em;
-  em.backend = o.exec;
-  em.workers = o.workers;
-  em.stack_kb = o.stack_kb;
-  EXPECT_EQ(mpisim::ExecModel::parse(em.spec()), em);
-  EXPECT_EQ(mpisim::MatchModel::parse(o.match.spec()), o.match);
+  EXPECT_EQ(mpisim::ExecModel::parse(o.exec.spec()), o.exec);
   EXPECT_EQ(mpisim::ProgressModel::parse(o.progress.spec()), o.progress);
 }
 
@@ -96,15 +89,10 @@ TEST(WorldBuilder, SpecsRejectUnknownPresetsAndOptions) {
                mpisim::MpiError);
   EXPECT_THROW(s.world_builder().exec_spec("cooperative:bogus=1"),
                mpisim::MpiError);
-  EXPECT_THROW(s.world_builder().match_spec("btree"), mpisim::MpiError);
-  EXPECT_THROW(s.world_builder().match_spec("legacy:buckets=8"),
-               mpisim::MpiError);
-  EXPECT_THROW(s.world_builder().match_spec("hashed:buckets=64"),
-               mpisim::MpiError);
 }
 
 // ---------------------------------------------------------------------------
-// Differential bit-identity: backends x matching engines
+// Differential bit-identity across execution backends
 // ---------------------------------------------------------------------------
 
 struct RunArtifacts {
@@ -136,14 +124,13 @@ RunArtifacts run_convolution(World& world) {
   return a;
 }
 
-RunArtifacts run_spec(const std::string& exec, const std::string& match) {
+RunArtifacts run_spec(const std::string& exec) {
   WorldOptions opts;
   opts.machine = mpisim::MachineModel::nehalem_cluster();
   opts.seed = 0xBEEF;
   const auto world = Session(8, opts)
                          .world_builder()
                          .exec_spec(exec)
-                         .match_spec(match)
                          .build();
   return run_convolution(*world);
 }
@@ -156,18 +143,11 @@ void expect_identical(const RunArtifacts& a, const RunArtifacts& b,
   EXPECT_EQ(a.counters_csv, b.counters_csv) << what;
 }
 
-TEST(SessionDifferential, BackendsAndEnginesAreBitIdentical) {
-  const RunArtifacts ref = run_spec("cooperative:workers=1", "hashed");
+TEST(SessionDifferential, BackendsAreBitIdentical) {
+  const RunArtifacts ref = run_spec("cooperative:workers=1");
   ASSERT_EQ(ref.final_times.size(), 8u);
-  const char* execs[] = {"cooperative:workers=1", "cooperative:workers=4",
-                         "threads"};
-  const char* matches[] = {"hashed", "legacy"};
-  for (const char* e : execs) {
-    for (const char* m : matches) {
-      const RunArtifacts cur = run_spec(e, m);
-      expect_identical(ref, cur,
-                       std::string("exec=") + e + " match=" + m);
-    }
+  for (const char* e : {"cooperative:workers=4", "threads"}) {
+    expect_identical(ref, run_spec(e), std::string("exec=") + e);
   }
 }
 
@@ -286,7 +266,6 @@ TEST(SessionScale, SixtyFiveKConvolutionStepCompletes) {
                          .world_builder()
                          .machine(mpisim::MachineModel::nehalem_cluster())
                          .seed(1)
-                         .match_spec("hashed")
                          .build();
   sections::SectionRuntime::install(*world);
   apps::conv::ConvolutionConfig cfg;

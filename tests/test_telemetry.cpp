@@ -218,8 +218,7 @@ ConvRunResult run_conv_with_sampler(ExecBackend exec, int workers) {
   WorldOptions opts;
   opts.machine = MachineModel::nehalem_cluster();
   opts.seed = 0xBEEF;
-  opts.exec = exec;
-  opts.workers = workers;
+  opts.exec = {.backend = exec, .workers = workers};
   World world(4, opts);
   sections::SectionRuntime::install(world);
   SamplerOptions sopts;

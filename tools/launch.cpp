@@ -50,7 +50,6 @@ std::unique_ptr<mpisim::World> make_world(const support::ArgParser& args,
   return mpisim::Session(ranks, std::move(opts))
       .world_builder()
       .exec_spec(args.get_string("exec"))
-      .match_spec(args.get_string("match"))
       .build();
 }
 

@@ -35,7 +35,7 @@ void emit(const std::string& text, const std::string& out_path,
           const std::string& what = "");
 
 /// The World the shared flags describe: the --model preset, --seed, and
-/// the --exec/--match specs (support::add_world_flags) over `opts`, which
+/// the --exec spec (support::add_world_flags) over `opts`, which
 /// carries whatever else the tool sets (progress model, fault plan, ...).
 [[nodiscard]] std::unique_ptr<mpisim::World> make_world(
     const support::ArgParser& args, int ranks, mpisim::WorldOptions opts = {});

@@ -89,7 +89,6 @@ int run(int argc, char** argv) {
   support::add_world_flags(args);
   args.add_int("threads", 1, "MiniOMP threads per rank (lulesh)");
   args.add_int("steps", 10, "time-steps (clean runs)");
-  args.add_int("timeout-ms", 500, "deadlock quiescence window");
   args.add_string("faults", "",
                   "fault plan spec, e.g. 'drop:p=0.05; kill:rank=1,at=1e-3' "
                   "('' = none)");
@@ -134,9 +133,7 @@ int run(int argc, char** argv) {
   mpisim::World& world = *world_ptr;
   sections::SectionRuntime::install(world);
 
-  checker::CheckerOptions copts;
-  copts.deadlock_timeout_ms = static_cast<int>(args.get_int("timeout-ms"));
-  auto check = checker::MpiChecker::install(world, copts);
+  auto check = checker::MpiChecker::install(world);
   const mpisim::faults::FaultPlan& faults = world.options().faults;
   std::shared_ptr<mpisim::faults::FaultInjector> injector;
   if (!faults.empty()) {

@@ -83,7 +83,7 @@ int run(int argc, char** argv) {
 }
 
 int main(int argc, char** argv) {
-  // Usage errors (bad --exec/--match specs and friends) must surface as a
+  // Usage errors (bad --exec specs and friends) must surface as a
   // one-line diagnostic with exit 1, never an uncaught-exception abort.
   try {
     return run(argc, argv);
